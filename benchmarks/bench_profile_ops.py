@@ -21,8 +21,15 @@ experiment measures the rebuilt hot path against the retained
   (halves over power-of-two durations) so every intermediate sum is
   exact in double precision and the zero-divergence gate is meaningful
   rather than luck.
+* **exact latency curve** — per-admission latency on the exact path as
+  admitted work grows (125 to 4000 admissions against one controller):
+  the median of the last decile of admissions at each size.  Splicing
+  claims into the slack keeps this curve nearly flat; ``--quick`` fails
+  when the value at 1000 admitted exceeds :data:`FLATNESS_BAR` times the
+  value at 125.
 
-Results (timings plus speedup factors) are written to
+Results (timings, speedup factors, the latency curve and an ``env``
+block naming the commit, Python, numpy and platform) are written to
 ``BENCH_profile_ops.json`` so CI history can track regressions.
 
 Runs standalone for CI smoke tests::
@@ -33,7 +40,10 @@ Runs standalone for CI smoke tests::
 from __future__ import annotations
 
 import json
+import platform
 import random
+import statistics
+import subprocess
 import time
 from pathlib import Path
 from typing import Dict, List
@@ -48,7 +58,14 @@ from repro.resources.profile import (
     _reference_rate_at,
 )
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_profile_ops.json"
+ROOT = Path(__file__).resolve().parent.parent
+RESULTS_PATH = ROOT / "BENCH_profile_ops.json"
+
+#: Admitted counts the exact-path latency curve is sampled at.
+CURVE_SIZES = (125, 250, 500, 1000, 2000, 4000)
+CURVE_SIZES_QUICK = (125, 250, 500, 1000)
+#: Flatness gate: last-decile latency at 1000 admitted over that at 125.
+FLATNESS_BAR = 3.0
 
 
 def _timed(fn) -> float:
@@ -229,6 +246,63 @@ def bench_admission(
     }
 
 
+def _last_decile_ms(count: int) -> Dict[str, float]:
+    """Median latency of the last 10% of ``count`` exact admissions
+    against one controller, on E15's sizing (the horizon grows with the
+    count, so the load per tick is the same at every size)."""
+    horizon = count * 17 // 10
+    controller = AdmissionController(
+        ResourceSet.of(term(60, cpu("l1"), 0, horizon))
+    )
+    latencies = []
+    admitted = 0
+    for requirement in _arrivals(count, horizon):
+        started = time.perf_counter()
+        admitted += controller.admit(requirement).admitted
+        latencies.append(time.perf_counter() - started)
+    tail = latencies[count - max(1, count // 10):]
+    return {"admitted": admitted, "ms": statistics.median(tail) * 1e3}
+
+
+def bench_latency_curve(sizes, *, repeats: int = 3) -> Dict[str, object]:
+    """Exact-path last-decile admission latency at each admitted count;
+    the best of ``repeats`` runs per size, so a burst of host load does
+    not masquerade as growth."""
+    points = []
+    for count in sizes:
+        runs = [_last_decile_ms(count) for _ in range(repeats)]
+        points.append({
+            "admitted": runs[0]["admitted"],
+            "last_decile_ms": min(run["ms"] for run in runs),
+        })
+    by_size = dict(zip(sizes, points))
+    return {
+        "kernel": "exact-scalar",
+        "points": points,
+        "ratio_1000_over_125": (
+            by_size[1000]["last_decile_ms"] / by_size[125]["last_decile_ms"]
+        ),
+    }
+
+
+def environment() -> Dict[str, object]:
+    try:
+        import numpy
+    except ImportError:  # the exact path never needs it
+        numpy = None
+    # ``-dirty`` marks numbers measured on uncommitted changes.
+    probe = subprocess.run(
+        ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    return {
+        "commit": probe.stdout.strip() or None,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__ if numpy is not None else None,
+        "platform": platform.platform(),
+    }
+
+
 # ----------------------------------------------------------------------
 
 def run_suite(*, quick: bool = False) -> Dict[str, Dict[str, float]]:
@@ -238,7 +312,14 @@ def run_suite(*, quick: bool = False) -> Dict[str, Dict[str, float]]:
             "aggregation": bench_aggregation(segments=250),
             "admission": bench_admission(count=120, horizon=300, inexact=True),
             "admission_exact": bench_admission(count=120, horizon=300),
+            "latency_curve": bench_latency_curve(CURVE_SIZES_QUICK),
         }
+        curve = results["latency_curve"]
+        assert curve["ratio_1000_over_125"] <= FLATNESS_BAR, (
+            f"exact admission latency is not flat: last-decile latency at "
+            f"1000 admitted is {curve['ratio_1000_over_125']:.2f}x that at "
+            f"125 (bar {FLATNESS_BAR}x): {curve['points']}"
+        )
     else:
         results = {
             "point_queries": bench_point_queries(breaks=2000, queries=5000),
@@ -249,6 +330,7 @@ def run_suite(*, quick: bool = False) -> Dict[str, Dict[str, float]]:
                 count=2000, horizon=3400, inexact=True
             ),
             "admission_exact": bench_admission(count=1000, horizon=1700),
+            "latency_curve": bench_latency_curve(CURVE_SIZES),
         }
         # Acceptance: 1k+ admitted and zero divergence on both paths;
         # >= 200x for the vectorized float headline, >= 5x for the
@@ -261,6 +343,7 @@ def run_suite(*, quick: bool = False) -> Dict[str, Dict[str, float]]:
         assert results["admission_exact"]["speedup"] >= 5.0, (
             results["admission_exact"]
         )
+    results["env"] = environment()
     return results
 
 
@@ -271,6 +354,8 @@ def write_results(results: Dict[str, Dict[str, float]]) -> None:
 def _render(results: Dict[str, Dict[str, float]]) -> str:
     lines = ["E15 — profile fast paths vs reference oracles"]
     for name, row in results.items():
+        if "speedup" not in row:
+            continue
         lines.append(
             f"  {name:14s} fast={row['fast_s']:.4f}s "
             f"reference={row['reference_s']:.4f}s "
@@ -281,6 +366,16 @@ def _render(results: Dict[str, Dict[str, float]]) -> str:
                 else ""
             )
         )
+    curve = results["latency_curve"]
+    lines.append(
+        "  exact last-decile admission latency: "
+        + "  ".join(
+            f"{point['admitted']}:{point['last_decile_ms']:.3f}ms"
+            for point in curve["points"]
+        )
+        + f"  (1000/125 = {curve['ratio_1000_over_125']:.2f}x,"
+        f" bar {FLATNESS_BAR}x)"
+    )
     return "\n".join(lines)
 
 

@@ -144,29 +144,56 @@ class AdmissionController:
         """
         return self._slack == self.reference_slack()
 
-    def _slack_mutated(self) -> None:
-        """Count a slack mutation; every ``slack_check_interval`` of them,
-        rebuild the cache from the reference when it has drifted."""
-        if not self._slack_check_interval:
+    def _slack_mutated(self, touched: ResourceSet | None = None) -> None:
+        """Count a slack mutation that changed the located types of
+        ``touched`` (``None``: possibly all); every
+        ``slack_check_interval`` of them, rebuild the cache from the
+        reference when it has drifted."""
+        if self._slack_check_interval:
+            self._mutations_since_check += 1
+            if self._mutations_since_check >= self._slack_check_interval:
+                self._mutations_since_check = 0
+                reference = self.reference_slack()
+                registry = get_registry()
+                if self._slack != reference:
+                    self._slack = reference
+                    registry.counter(
+                        "rota_slack_cache_checks_total",
+                        "incremental-slack invalidation checks by result",
+                        labels=("result",),
+                    ).inc(result="miss")
+                else:
+                    registry.counter(
+                        "rota_slack_cache_checks_total",
+                        "incremental-slack invalidation checks by result",
+                        labels=("result",),
+                    ).inc(result="hit")
+                touched = None
+        self._observe_slack(touched)
+
+    def _observe_slack(self, touched: ResourceSet | None) -> None:
+        """Publish the slack's breakpoint count for each located type of
+        ``touched`` (``None``: every type): the size the exact admission
+        path's cost grows with."""
+        registry = get_registry()
+        if not registry.enabled:
             return
-        self._mutations_since_check += 1
-        if self._mutations_since_check >= self._slack_check_interval:
-            self._mutations_since_check = 0
-            reference = self.reference_slack()
-            registry = get_registry()
-            if self._slack != reference:
-                self._slack = reference
-                registry.counter(
-                    "rota_slack_cache_checks_total",
-                    "incremental-slack invalidation checks by result",
-                    labels=("result",),
-                ).inc(result="miss")
-            else:
-                registry.counter(
-                    "rota_slack_cache_checks_total",
-                    "incremental-slack invalidation checks by result",
-                    labels=("result",),
-                ).inc(result="hit")
+        gauge = registry.gauge(
+            "rota_slack_breakpoints",
+            "expiring-slack breakpoints per located type",
+            labels=("ltype",),
+        )
+        profiles = self._slack.profiles()
+        if touched is None:
+            ltypes = self._available.located_types + tuple(profiles)
+        else:
+            ltypes = touched.located_types
+        for ltype in ltypes:
+            profile = profiles.get(ltype)
+            gauge.set(
+                0 if profile is None else profile.breakpoint_count,
+                ltype=str(ltype),
+            )
 
     # ------------------------------------------------------------------
     # Pickling (checkpoint payloads)
@@ -211,7 +238,7 @@ class AdmissionController:
             joining = ResourceSet(joining)
         self._available = self._available | joining
         self._slack = self._slack | joining
-        self._slack_mutated()
+        self._slack_mutated(joining)
 
     @property
     def align(self) -> Time | None:
@@ -233,7 +260,7 @@ class AdmissionController:
             lost = ResourceSet(lost)
         self._available = self._available.saturating_minus(lost)
         self._slack = self._slack.saturating_minus(lost)
-        self._slack_mutated()
+        self._slack_mutated(lost)
 
     def forfeit(self, label: str) -> None:
         """Remove an admitted computation whose promise was violated.
@@ -267,13 +294,13 @@ class AdmissionController:
             )
         self._committed = self._committed | resources
         self._slack = self._slack - resources
-        self._slack_mutated()
+        self._slack_mutated(resources)
 
     def release(self, resources: ResourceSet) -> None:
         """Return a previously reserved set to the slack pool."""
         self._committed = self._committed - resources
         self._slack = self._slack | resources
-        self._slack_mutated()
+        self._slack_mutated(resources)
 
     def advance_to(self, t: Time) -> None:
         """Move the clock forward; past availability and consumption expire
@@ -343,7 +370,7 @@ class AdmissionController:
             consumption = decision.schedule.consumption()
             self._committed = self._committed | consumption
             self._slack = self._slack - consumption
-            self._slack_mutated()
+            self._slack_mutated(consumption)
             self._schedules[_unique_label(decision.label, self._schedules)] = (
                 decision.schedule
             )
@@ -365,7 +392,7 @@ class AdmissionController:
         consumption = schedule.consumption()
         self._committed = self._committed - consumption
         self._slack = self._slack | consumption
-        self._slack_mutated()
+        self._slack_mutated(consumption)
         del self._schedules[label]
 
 

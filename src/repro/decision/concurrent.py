@@ -41,12 +41,13 @@ def _try_order(
 ) -> Optional[ConcurrentSchedule]:
     remaining = available
     schedules: list[Schedule] = []
-    for component in components:
+    for index, component in enumerate(components):
+        if index:
+            remaining = remaining - schedules[-1].consumption()
         schedule = find_schedule(remaining, component, align=align)
         if schedule is None:
             return None
         schedules.append(schedule)
-        remaining = remaining - schedule.consumption()
     return ConcurrentSchedule(tuple(schedules))
 
 
@@ -112,7 +113,8 @@ def find_concurrent_schedule(
                 f"{MAX_EXHAUSTIVE_COMPONENTS} components, got {len(components)}"
             )
         return _search_orders(available, tuple(components), [], align)
-    components.sort(key=lambda c: _laxity_key(available, c))
+    if len(components) > 1:
+        components.sort(key=lambda c: _laxity_key(available, c))
     return _try_order(available, components, align)
 
 

@@ -73,7 +73,9 @@ class Instrument:
                 return ()
         elif len(labels) == len(names):
             try:
-                return tuple(str(labels[name]) for name in names)
+                if len(names) == 1:
+                    return (str(labels[names[0]]),)
+                return tuple([str(labels[name]) for name in names])
             except KeyError:
                 pass
         raise MetricError(

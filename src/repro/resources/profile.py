@@ -25,14 +25,24 @@ with a rate-0 breakpoint).
 
 Every decision procedure (Theorem 4 admission, schedule search, the
 Figure 1 model checker) bottoms out here, so the point and window queries
-are the system's hot path.  They run against a lazily-built index — the
-breakpoint times plus a cumulative-integral array — giving ``O(log n)``
-``rate_at``/``integral`` lookups and ``O(n + m)`` two-pointer merges for
-the binary algebra, instead of the naive linear/quadratic scans.  The
-naive implementations are retained below as ``_reference_*`` oracles;
-``tests/test_profile_fastpath.py`` asserts exact agreement over
-exhaustive small-integer enumerations, and ``benchmarks/
-bench_profile_ops.py`` tracks the speedup.
+are the system's hot path.  Each profile builds only the index its
+queries read: the breakpoint times (for ``O(log n)`` bisection in
+``rate_at``, ``clamp`` and the accumulation walks) on first query, and
+the exact cumulative-integral array only when ``integral``'s exact
+branch first needs it.  Whether a profile is exact is known by
+construction for the results of exact operations and found by one scan
+otherwise.  The binary algebra is an ``O(n + m)`` two-pointer merge
+whose output is already sorted, so it is never re-sorted.  When one
+operand of an exact ``+`` or ``subtract`` has finite support (its final
+rate is 0, as every schedule claim's is), only that operand's span is
+merged: the other profile's breakpoints before and after the span are
+copied verbatim (their rates are unchanged there), so admitting a claim
+of ``k`` breakpoints costs ``O(log n + k)`` Python work however large
+the slack has grown.  The naive implementations are retained below as
+``_reference_*`` oracles; ``tests/test_profile_fastpath.py`` and
+``tests/test_profile_splice.py`` assert exact agreement over exhaustive
+small-integer enumerations, and ``benchmarks/bench_profile_ops.py``
+tracks the speedup and the per-admission latency curve.
 
 Two arithmetic regimes share that surface.  **Exact** profiles (every
 coordinate int/Fraction) stay on the scalar fast path above — the
@@ -53,6 +63,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from numbers import Rational
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -91,6 +102,9 @@ def exact_div(numerator: Time, denominator: Time) -> Time:
     return numerator / denominator
 
 
+_time_of = itemgetter(0)
+
+
 def _normalise(points: Iterable[Tuple[Time, Time]]) -> tuple[Tuple[Time, Time], ...]:
     """Sort breakpoints, drop repeats at equal times (last wins), and merge
     consecutive breakpoints with equal rates."""
@@ -101,17 +115,32 @@ def _normalise(points: Iterable[Tuple[Time, Time]]) -> tuple[Tuple[Time, Time], 
             collapsed[-1] = (time, rate)
         else:
             collapsed.append((time, rate))
+    return tuple(_merge_runs(collapsed))
+
+
+def _merge_runs(
+    points: Iterable[Tuple[Time, Time]], last: Time = 0
+) -> list[Tuple[Time, Time]]:
+    """Drop every breakpoint whose rate equals the rate before it, given
+    the rate ``last`` in effect before the first one.  With the default
+    ``last = 0`` a leading zero-rate breakpoint is dropped too: the
+    profile is zero before its first breakpoint anyway.  The input must
+    already be sorted and unique in time (merge output is)."""
     merged: list[Tuple[Time, Time]] = []
-    for time, rate in collapsed:
-        if merged and merged[-1][1] == rate:
-            continue
-        merged.append((time, rate))
-    if merged and merged[0][1] == 0:
-        # A leading zero-rate breakpoint is redundant: the profile is zero
-        # before the first breakpoint anyway.  Consecutive equal rates were
-        # merged above, so at most one leading zero can exist.
-        merged.pop(0)
-    return tuple(merged)
+    for point in points:
+        rate = point[1]
+        if rate != last:
+            merged.append(point)
+            last = rate
+    return merged
+
+
+def _validate(points: Iterable[Tuple[Time, Time]]) -> None:
+    for time, rate in points:
+        if isinstance(rate, float) and math.isnan(rate):
+            raise InvalidTermError("profile rate must not be NaN")
+        if rate < 0:
+            raise InvalidTermError(f"profile rate must be >= 0, got {rate!r} at t={time!r}")
 
 
 class RateProfile:
@@ -123,11 +152,7 @@ class RateProfile:
 
     def __init__(self, points: Iterable[Tuple[Time, Time]] = ()) -> None:
         pts = _normalise(points)
-        for time, rate in pts:
-            if isinstance(rate, float) and math.isnan(rate):
-                raise InvalidTermError("profile rate must not be NaN")
-            if rate < 0:
-                raise InvalidTermError(f"profile rate must be >= 0, got {rate!r} at t={time!r}")
+        _validate(pts)
         self._pts: Optional[tuple] = pts
         self._times: Optional[list] = None
         self._cum: Optional[list] = None
@@ -165,32 +190,31 @@ class RateProfile:
         return rl
 
     def _ensure_index(self) -> None:
-        """Build the lookup index on first use: breakpoint times for
-        bisection, the cumulative integral up to each breakpoint, and
-        whether every coordinate is exact (so cumulative differences are
-        drift-free)."""
-        if self._times is not None:
-            return
-        if self._pts is None:
-            # Vec-built: inexact by construction, times off the array;
-            # the cumulative array stays unbuilt (exact path only).
-            self._times = self._vt.tolist()
-            self._exact = False
-            return
+        """Build the breakpoint times for bisection on first use (off
+        the float64 array for vec-built profiles)."""
+        if self._times is None:
+            if self._pts is None:
+                self._times = self._vt.tolist()
+            else:
+                self._times = [t for t, _ in self._pts]
+
+    def _is_exact(self) -> bool:
+        """Whether every coordinate is exact (so cumulative differences
+        are drift-free and the scalar path is the reference-pinned one).
+        Exact operations set this on their results; anything else is
+        scanned once."""
+        exact = self._exact
+        if exact is None:
+            exact = all(is_exact(t) and is_exact(r) for t, r in self._pts)
+            self._exact = exact
+        return exact
+
+    @property
+    def breakpoint_count(self) -> int:
+        """Number of breakpoints, read off the array for vec-built
+        profiles (the tuples are not materialised)."""
         pts = self._pts
-        times = [t for t, _ in pts]
-        cum: list = [0] * len(pts)
-        exact = True
-        for i in range(1, len(pts)):
-            t_prev, r_prev = pts[i - 1]
-            cum[i] = cum[i - 1] + r_prev * (times[i] - t_prev)
-        for t, r in pts:
-            if not (is_exact(t) and is_exact(r)):
-                exact = False
-                break
-        self._times = times
-        self._cum = cum
-        self._exact = exact
+        return len(pts) if pts is not None else len(self._vt)
 
     def _vector_index(self):
         """Float64 ``(times, rates)`` arrays for the vectorized kernels,
@@ -209,11 +233,7 @@ class RateProfile:
         the op must stay scalar.  Vectorization is auto-selected only
         when the operation is inexact — both operands exact means the
         scalar fast path (the reference-pinned oracle chain) answers."""
-        if self._exact is None:
-            self._ensure_index()
-        if other._exact is None:
-            other._ensure_index()
-        if self._exact and other._exact:
+        if self._is_exact() and other._is_exact():
             return None
         va = self._vector_index()
         if va is None:
@@ -242,6 +262,34 @@ class RateProfile:
         profile._vr = rates
         profile._vok = True
         profile._rl = None
+        return profile
+
+    @classmethod
+    def _adopt(
+        cls,
+        pts: tuple,
+        exact: bool,
+        times: Optional[list] = None,
+        rates: Optional[list] = None,
+    ) -> "RateProfile":
+        """Adopt canonical breakpoint tuples (sorted, unique in time,
+        rate-merged) without re-normalising, with whatever parts of the
+        index the caller already holds.  Inexact points are validated;
+        exact ones come from validated operands by exact arithmetic
+        whose negative results the caller has already refused."""
+        if not pts:
+            return _ZERO
+        if not exact:
+            _validate(pts)
+        profile = cls.__new__(cls)
+        profile._pts = pts
+        profile._times = times
+        profile._cum = None
+        profile._exact = exact
+        profile._vt = None
+        profile._vr = None
+        profile._vok = None
+        profile._rl = rates
         return profile
 
     def __reduce__(self):
@@ -312,7 +360,7 @@ class RateProfile:
                 level = level + events[index][1]
                 index += 1
             points.append((t, level))
-        return cls(points)
+        return cls._adopt(tuple(_merge_runs(points)), True)
 
     @classmethod
     def sum(cls, profiles: Iterable["RateProfile"]) -> "RateProfile":
@@ -328,9 +376,8 @@ class RateProfile:
             return _ZERO
         if len(live) == 1:
             return live[0]
-        for p in live:
-            p._ensure_index()
-        if not all(p._exact for p in live):
+        exact = all(p._is_exact() for p in live)
+        if not exact:
             arrays = [p._vector_index() for p in live]
             if all(a is not None for a in arrays):
                 return cls._from_float_arrays(*_vec.sum_profiles(arrays))
@@ -350,7 +397,7 @@ class RateProfile:
             for rate in rates:
                 level = level + rate
             points.append((t, level))
-        return cls(points)
+        return cls._adopt(tuple(_merge_runs(points)), exact)
 
     @classmethod
     def zero(cls) -> "RateProfile":
@@ -432,8 +479,16 @@ class RateProfile:
 
     def _cumulative(self, t: Time) -> Time:
         """Integral from before the first breakpoint up to ``t`` (exact
-        profiles only; callers guard)."""
+        profiles only; callers guard), off the cumulative-integral array
+        built on first use."""
         times, cum = self._times, self._cum
+        if cum is None:
+            pts = self._pts
+            cum = [0] * len(pts)
+            for i in range(1, len(pts)):
+                t_prev, r_prev = pts[i - 1]
+                cum[i] = cum[i - 1] + r_prev * (times[i] - t_prev)
+            self._cum = cum
         i = bisect_right(times, t) - 1
         if i < 0:
             return 0
@@ -454,7 +509,7 @@ class RateProfile:
             return 0
         self._ensure_index()
         start, end = window.start, window.end
-        if self._exact and is_exact(start) and is_exact(end):
+        if self._is_exact() and is_exact(start) and is_exact(end):
             return self._cumulative(end) - self._cumulative(start)
         if _vec.coordinate_safe(start) and _vec.coordinate_safe(end):
             va = self._vector_index()
@@ -568,28 +623,92 @@ class RateProfile:
     # Algebra
     # ------------------------------------------------------------------
     def _merged_rates(
-        self, other: "RateProfile"
+        self,
+        other: "RateProfile",
+        span: Optional[Tuple[int, int, int, int]] = None,
     ) -> Iterator[Tuple[Time, Time, Time]]:
         """Two-pointer merge over both breakpoint lists: yields
         ``(time, self_rate, other_rate)`` at every breakpoint of either
         profile, in time order — ``O(n + m)`` where the naive
-        rate_at-per-breaktime evaluation was quadratic."""
+        rate_at-per-breaktime evaluation was quadratic.
+
+        ``span = (i, i_end, j, j_end)`` merges only ``self``'s
+        breakpoints ``i:i_end`` and ``other``'s ``j:j_end``, each side
+        entering at the rate of its breakpoint just before the slice."""
         a, b = self._points, other._points
-        i = j = 0
-        ra: Time = 0
-        rb: Time = 0
-        while i < len(a) or j < len(b):
-            if j >= len(b) or (i < len(a) and a[i][0] <= b[j][0]):
+        i, i_end, j, j_end = span or (0, len(a), 0, len(b))
+        ra: Time = a[i - 1][1] if i else 0
+        rb: Time = b[j - 1][1] if j else 0
+        while i < i_end or j < j_end:
+            if j >= j_end or (i < i_end and a[i][0] <= b[j][0]):
                 t = a[i][0]
             else:
                 t = b[j][0]
-            if i < len(a) and a[i][0] == t:
+            if i < i_end and a[i][0] == t:
                 ra = a[i][1]
                 i += 1
-            if j < len(b) and b[j][0] == t:
+            if j < j_end and b[j][0] == t:
                 rb = b[j][1]
                 j += 1
             yield t, ra, rb
+
+    def _span_of(self, narrow: "RateProfile") -> Tuple[int, int]:
+        """Positions ``lo:hi`` of this profile's breakpoints that lie in
+        ``[first, last]``, the span of ``narrow``'s breakpoints
+        (``O(log n)``; bisects the tuples when no index is built)."""
+        first, last = narrow._pts[0][0], narrow._pts[-1][0]
+        times = self._times
+        if times is None:
+            pts = self._pts
+            return (
+                bisect_left(pts, first, key=_time_of),
+                bisect_right(pts, last, key=_time_of),
+            )
+        return bisect_left(times, first), bisect_right(times, last)
+
+    def _combine(
+        self,
+        other: "RateProfile",
+        combine,
+        exact: bool,
+        narrow: Optional["RateProfile"] = None,
+    ) -> "RateProfile":
+        """The profile with rate ``combine(t, self_rate, other_rate)``,
+        from one merge of the breakpoints.
+
+        ``narrow`` is an operand with finite support outside whose span
+        ``combine`` returns the other (wide) operand's rate unchanged.
+        Only that span is merged; the wide operand's breakpoints before
+        and after it are copied verbatim, and so are its times and rates
+        index when built.  Without ``narrow`` everything is merged."""
+        if narrow is None:
+            wide, lo, hi = self, 0, len(self._points)
+            span = None
+        elif narrow is other:
+            wide = self
+            lo, hi = self._span_of(other)
+            span = (lo, hi, 0, len(other._pts))
+        else:
+            wide = other
+            lo, hi = other._span_of(self)
+            span = (0, len(self._pts), lo, hi)
+        wpts = wide._points
+        # Seeding the run merge with the rate the prefix ends on joins
+        # the leading seam (and drops a leading zero when there is no
+        # prefix).  The trailing seam needs nothing: the window ends at
+        # the narrow operand's last breakpoint, where the result is back
+        # to the wide rate, which differs from the next wide breakpoint's.
+        window = _merge_runs(
+            ((t, combine(t, ra, rb)) for t, ra, rb in self._merged_rates(other, span)),
+            wpts[lo - 1][1] if lo else 0,
+        )
+        pts = wpts[:lo] + tuple(window) + wpts[hi:]
+        times = rates = None
+        if narrow is not None and wide._times is not None:
+            times = wide._times[:lo] + [t for t, _ in window] + wide._times[hi:]
+            if wide._rl is not None:
+                rates = wide._rl[:lo] + [r for _, r in window] + wide._rl[hi:]
+        return RateProfile._adopt(pts, exact, times, rates)
 
     def __add__(self, other: "RateProfile") -> "RateProfile":
         if self.is_zero:
@@ -599,9 +718,17 @@ class RateProfile:
         pair = self._vector_pair(other)
         if pair is not None:
             return RateProfile._from_float_arrays(*_vec.add(*pair))
-        return RateProfile(
-            (t, ra + rb) for t, ra, rb in self._merged_rates(other)
-        )
+        exact = self._is_exact() and other._is_exact()
+        narrow = None
+        if exact:
+            # Splice the operand with finite support, the shorter if both.
+            if other._pts[-1][1] == 0 and (
+                self._pts[-1][1] != 0 or len(other._pts) <= len(self._pts)
+            ):
+                narrow = other
+            elif self._pts[-1][1] == 0:
+                narrow = self
+        return self._combine(other, _add_rates, exact, narrow)
 
     def subtract(self, other: "RateProfile", *, tolerance: float = EPSILON) -> "RateProfile":
         """Pointwise subtraction; raises when the result would go negative.
@@ -629,19 +756,23 @@ class RateProfile:
             if result[0] == "nan":
                 raise InvalidTermError("profile rate must not be NaN")
             return RateProfile._from_float_arrays(result[1], result[2])
-        points: list[Tuple[Time, Time]] = []
-        for t, ra, rb in self._merged_rates(other):
+
+        def difference(t: Time, ra: Time, rb: Time) -> Time:
             value = ra - rb
             if value < 0:
                 if not is_exact(value) and -value <= tolerance:
-                    value = 0
-                else:
-                    raise UndefinedOperationError(
-                        f"subtraction would make the rate negative at t={t!r} "
-                        f"({ra!r} - {rb!r})"
-                    )
-            points.append((t, value))
-        return RateProfile(points)
+                    return 0
+                raise UndefinedOperationError(
+                    f"subtraction would make the rate negative at t={t!r} "
+                    f"({ra!r} - {rb!r})"
+                )
+            return value
+
+        exact = self._is_exact() and other._is_exact()
+        # Outside a finite-support subtrahend's span it is 0, so nothing
+        # there can go negative and the minuend carries over unchanged.
+        narrow = other if exact and other._pts[-1][1] == 0 else None
+        return self._combine(other, difference, exact, narrow)
 
     def __sub__(self, other: "RateProfile") -> "RateProfile":
         return self.subtract(other)
@@ -659,8 +790,10 @@ class RateProfile:
         pair = self._vector_pair(other)
         if pair is not None:
             return RateProfile._from_float_arrays(*_vec.saturating_sub(*pair))
-        return RateProfile(
-            (t, max(0, ra - rb)) for t, ra, rb in self._merged_rates(other)
+        return self._combine(
+            other,
+            lambda t, ra, rb: max(0, ra - rb),
+            self._is_exact() and other._is_exact(),
         )
 
     def scale(self, factor: Time) -> "RateProfile":
@@ -684,7 +817,12 @@ class RateProfile:
         points.extend(self._points[lo:hi])
         if not math.isinf(window.end):
             points.append((window.end, 0))
-        return RateProfile(points)
+        exact = (
+            self._is_exact()
+            and is_exact(window.start)
+            and (math.isinf(window.end) or is_exact(window.end))
+        )
+        return RateProfile._adopt(tuple(_merge_runs(points)), exact)
 
     def shift(self, delta: Time) -> "RateProfile":
         """The profile translated in time by ``delta``."""
@@ -697,8 +835,10 @@ class RateProfile:
         pair = self._vector_pair(ceiling)
         if pair is not None:
             return RateProfile._from_float_arrays(*_vec.cap(*pair))
-        return RateProfile(
-            (t, min(ra, rb)) for t, ra, rb in self._merged_rates(ceiling)
+        return self._combine(
+            ceiling,
+            lambda t, ra, rb: min(ra, rb),
+            self._is_exact() and ceiling._is_exact(),
         )
 
     def dominates(self, other: "RateProfile") -> bool:
@@ -733,6 +873,10 @@ class RateProfile:
 
 
 _ZERO = RateProfile(())
+
+
+def _add_rates(t: Time, ra: Time, rb: Time) -> Time:
+    return ra + rb
 
 
 def profile_from_points(points: Sequence[Tuple[Time, Time]]) -> RateProfile:

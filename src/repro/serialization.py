@@ -39,6 +39,14 @@ class SerializationError(RotaError, ValueError):
     """Malformed wire data."""
 
 
+def _expect_object(data: Any, kind: str) -> None:
+    """Refuse wire data that is not a JSON object before reading keys."""
+    if not isinstance(data, Mapping):
+        raise SerializationError(
+            f"expected {kind} object, got {type(data).__name__} {data!r}"
+        )
+
+
 # ----------------------------------------------------------------------
 # Scalars
 # ----------------------------------------------------------------------
@@ -82,6 +90,7 @@ def location_to_wire(location: Node | Link) -> dict:
 
 
 def location_from_wire(data: Mapping[str, Any]) -> Node | Link:
+    _expect_object(data, "location")
     kind = data.get("kind")
     if kind == "node":
         return Node(data["name"])
@@ -99,6 +108,7 @@ def ltype_to_wire(ltype: LocatedType) -> dict:
 
 
 def ltype_from_wire(data: Mapping[str, Any]) -> LocatedType:
+    _expect_object(data, "ltype")
     if data.get("kind") != "ltype":
         raise SerializationError(f"expected ltype, got {data.get('kind')!r}")
     return LocatedType(data["resource"], location_from_wire(data["location"]))
@@ -117,6 +127,7 @@ def interval_to_wire(window: Interval) -> dict:
 
 
 def interval_from_wire(data: Mapping[str, Any]) -> Interval:
+    _expect_object(data, "interval")
     if data.get("kind") != "interval":
         raise SerializationError(f"expected interval, got {data.get('kind')!r}")
     return Interval(time_from_wire(data["start"]), time_from_wire(data["end"]))
@@ -132,6 +143,7 @@ def term_to_wire(item: ResourceTerm) -> dict:
 
 
 def term_from_wire(data: Mapping[str, Any]) -> ResourceTerm:
+    _expect_object(data, "term")
     if data.get("kind") != "term":
         raise SerializationError(f"expected term, got {data.get('kind')!r}")
     return ResourceTerm(
@@ -149,6 +161,7 @@ def resource_set_to_wire(resources: ResourceSet) -> dict:
 
 
 def resource_set_from_wire(data: Mapping[str, Any]) -> ResourceSet:
+    _expect_object(data, "resource_set")
     if data.get("kind") != "resource_set":
         raise SerializationError(
             f"expected resource_set, got {data.get('kind')!r}"
@@ -171,6 +184,7 @@ def demands_to_wire(demands: Demands) -> dict:
 
 
 def demands_from_wire(data: Mapping[str, Any]) -> Demands:
+    _expect_object(data, "demands")
     if data.get("kind") != "demands":
         raise SerializationError(f"expected demands, got {data.get('kind')!r}")
     return Demands(
@@ -230,6 +244,7 @@ def requirement_to_wire(
 
 
 def requirement_from_wire(data: Mapping[str, Any]):
+    _expect_object(data, "requirement")
     kind = data.get("kind")
     if kind == "simple_requirement":
         return SimpleRequirement(
@@ -252,18 +267,20 @@ def requirement_from_wire(data: Mapping[str, Any]):
                 [demands_from_wire(p) for p in segment]
                 for segment in data["segments"]
             ],
-            [
-                Wait(
-                    time_from_wire(w["min_delay"]),
-                    time_from_wire(w["max_delay"]),
-                    w.get("reason", "reply"),
-                )
-                for w in data["waits"]
-            ],
+            [_wait_from_wire(w) for w in data["waits"]],
             interval_from_wire(data["window"]),
             label=data.get("label", ""),
         )
     raise SerializationError(f"unknown requirement kind {kind!r}")
+
+
+def _wait_from_wire(data: Mapping[str, Any]) -> Wait:
+    _expect_object(data, "wait")
+    return Wait(
+        time_from_wire(data["min_delay"]),
+        time_from_wire(data["max_delay"]),
+        data.get("reason", "reply"),
+    )
 
 
 # ----------------------------------------------------------------------

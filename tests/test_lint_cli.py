@@ -105,6 +105,18 @@ class TestSpecCommand:
         document = json.loads(capsys.readouterr().out)
         assert [f["rule"] for f in document["findings"]] == ["spec-fault-plan"]
 
+    @pytest.mark.parametrize("key", ["requirement", "resources"])
+    def test_non_object_wire_value_is_a_finding(self, key, tmp_path, capsys):
+        payload = json.loads(json.dumps(GOOD_REQUEST))
+        payload[key] = 5
+        bad = tmp_path / "request.json"
+        bad.write_text(json.dumps(payload))
+        assert lint_main(["spec", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "[spec-syntax]" in captured.out
+        assert "object, got int 5" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_missing_file_exits_2(self, capsys):
         assert lint_main(["spec", "/nonexistent/spec.json"]) == 2
         assert "no such file" in capsys.readouterr().err
@@ -191,6 +203,24 @@ class TestReproCheckLint:
         path = self.request_file(tmp_path, {"kind": "scenario"})
         assert repro_main(["check", path]) == 2
         assert "'resources' and" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p.__setitem__("requirement", 5),
+            lambda p: p.__setitem__("resources", [1, 2]),
+            lambda p: p["resources"]["terms"].__setitem__(0, "term"),
+            lambda p: p["requirement"].__setitem__("window", 3),
+        ],
+    )
+    def test_non_object_wire_value_exits_2(self, edit, tmp_path, capsys):
+        payload = json.loads(json.dumps(GOOD_REQUEST))
+        edit(payload)
+        path = self.request_file(tmp_path, payload)
+        assert repro_main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert "error: malformed request: expected " in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
     def test_malformed_wire_exits_2(self, tmp_path, capsys):
         payload = json.loads(json.dumps(GOOD_REQUEST))

@@ -502,3 +502,54 @@ def test_layering_rule_rejects_observability_importing_instrumented_code():
     )
     assert [f.rule for f in findings] == ["layering"]
     assert "instruments" in findings[0].message
+
+
+class TestSlackBreakpointGauge:
+    """``rota_slack_breakpoints`` tracks the slack the admission path
+    searches, per located type, on every slack mutation."""
+
+    def _requirement(self, ltype, amount, start, end, label):
+        from repro.computation import ComplexRequirement, Demands
+        from repro.intervals import Interval
+
+        return ComplexRequirement(
+            [Demands({ltype: amount})], Interval(start, end), label=label
+        )
+
+    def _series(self, registry, ltype):
+        return registry.gauge(
+            "rota_slack_breakpoints", labels=("ltype",)
+        ).value(ltype=str(ltype))
+
+    def test_set_on_admit_withdraw_and_join(self):
+        from repro.decision import AdmissionController
+        from repro.resources import ResourceSet, cpu, term
+
+        cpu1, cpu2 = cpu("n1"), cpu("n2")
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            controller = AdmissionController(ResourceSet.of(term(4, cpu1, 0, 20)))
+            assert controller.admit(self._requirement(cpu1, 8, 2, 10, "a"))
+            slack = controller.expiring_slack
+            assert self._series(registry, cpu1) == len(
+                slack.profile(cpu1).breakpoints
+            )
+            controller.withdraw("a")
+            assert self._series(registry, cpu1) == 2
+            controller.add_resources(ResourceSet.of(term(1, cpu2, 0, 5)))
+            assert self._series(registry, cpu2) == 2
+
+    def test_vec_built_slack_is_counted_without_materialising(self):
+        from repro.decision import AdmissionController
+        from repro.resources import ResourceSet, cpu, term
+
+        cpu1 = cpu("n1")
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            controller = AdmissionController(
+                ResourceSet.of(term(4.0, cpu1, 0, 16))
+            )
+            assert controller.admit(self._requirement(cpu1, 6.0, 2, 8, "a"))
+        profile = controller.expiring_slack.profile(cpu1)
+        assert profile._pts is None  # the gauge read the array length
+        assert self._series(registry, cpu1) == len(profile.breakpoints)

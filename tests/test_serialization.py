@@ -143,6 +143,45 @@ class TestRequirements:
             requirement_from_wire({"kind": "wish"})
 
 
+class TestNonObjectWire:
+    @pytest.mark.parametrize(
+        "decode, kind",
+        [
+            (location_from_wire, "location"),
+            (ltype_from_wire, "ltype"),
+            (interval_from_wire, "interval"),
+            (term_from_wire, "term"),
+            (resource_set_from_wire, "resource_set"),
+            (demands_from_wire, "demands"),
+            (requirement_from_wire, "requirement"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [5, "interval", [1, 2], None])
+    def test_rejected_naming_the_expected_kind(self, decode, kind, value):
+        with pytest.raises(SerializationError, match=f"expected {kind} object"):
+            decode(value)
+
+    def test_nested_non_object_is_rejected(self):
+        wire = requirement_to_wire(
+            ComplexRequirement(
+                [Demands({cpu("n1"): 1})], Interval(0, 4), label="job"
+            )
+        )
+        wire["phases"][0]["amounts"][0]["ltype"] = 7
+        with pytest.raises(SerializationError, match="expected ltype object"):
+            requirement_from_wire(wire)
+
+    def test_non_object_wait_is_rejected(self):
+        wire = {
+            "kind": "segmented_requirement",
+            "window": interval_to_wire(Interval(0, 9)),
+            "segments": [[], []],
+            "waits": [3],
+        }
+        with pytest.raises(SerializationError, match="expected wait object"):
+            requirement_from_wire(wire)
+
+
 class TestScheduleExport:
     def test_schedule_to_wire(self, cpu1, net12, small_pool):
         req = ComplexRequirement(
