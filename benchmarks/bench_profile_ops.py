@@ -14,21 +14,21 @@ experiment measures the rebuilt hot path against the retained
   controller that recomputes ``available - committed`` before every
   attempt.  Decisions must not diverge *at all*: the speedup only counts
   because the answers are identical.  The workload runs twice: once with
-  float (inexact) quantities, where the vectorized numpy kernels carry
-  the profile algebra — the headline ``admission`` row — and once with
-  integer (exact) quantities on the Fraction-safe scalar path
-  (``admission_exact``).  The float workload uses dyadic rationals
-  (halves over power-of-two durations) so every intermediate sum is
-  exact in double precision and the zero-divergence gate is meaningful
-  rather than luck.
-* **exact latency curve** — per-admission latency on the exact path as
-  admitted work grows (125 to 4000 admissions against one controller):
-  the median of the last decile of admissions at each size.  Splicing
-  claims into the slack keeps this curve nearly flat; ``--quick`` fails
-  when the value at 1000 admitted exceeds :data:`FLATNESS_BAR` times the
-  value at 125.
+  float (inexact) quantities, where claims are spliced into the slack in
+  float form (bit-identical to the numpy kernels) — the headline
+  ``admission`` row — and once with integer (exact) quantities on the
+  Fraction-safe scalar path (``admission_exact``).  The float workload
+  uses dyadic rationals (halves over power-of-two durations) so every
+  intermediate sum is exact in double precision and the zero-divergence
+  gate is meaningful rather than luck.
+* **latency curves** — per-admission latency as admitted work grows, on
+  the exact path (125 to 4000 admissions against one controller) and on
+  the float path (125 to 8000): the median of the last decile of
+  admissions at each size.  Splicing claims into the slack keeps both
+  curves nearly flat; ``--quick`` fails when either curve's value at
+  1000 admitted exceeds :data:`FLATNESS_BAR` times its value at 125.
 
-Results (timings, speedup factors, the latency curve and an ``env``
+Results (timings, speedup factors, the latency curves and an ``env``
 block naming the commit, Python, numpy and platform) are written to
 ``BENCH_profile_ops.json`` so CI history can track regressions.
 
@@ -61,10 +61,12 @@ from repro.resources.profile import (
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS_PATH = ROOT / "BENCH_profile_ops.json"
 
-#: Admitted counts the exact-path latency curve is sampled at.
+#: Admitted counts the latency curves are sampled at (exact, float).
 CURVE_SIZES = (125, 250, 500, 1000, 2000, 4000)
+FLOAT_CURVE_SIZES = CURVE_SIZES + (8000,)
 CURVE_SIZES_QUICK = (125, 250, 500, 1000)
-#: Flatness gate: last-decile latency at 1000 admitted over that at 125.
+#: Flatness gate, on each path: last-decile latency at 1000 admitted
+#: over that at 125.
 FLATNESS_BAR = 3.0
 
 
@@ -209,10 +211,10 @@ def bench_admission(
     subtraction is itself quadratic in breakpoints), so the measured
     speedup *understates* what larger systems gain.
 
-    With ``inexact=True`` the capacity and demands are floats, which
-    routes every profile operation through the vectorized numpy kernels
-    (:mod:`repro.resources._vectorized`) instead of the Fraction-safe
-    scalar sweeps — the configuration the >=200x acceptance bar targets.
+    With ``inexact=True`` the capacity and demands are floats, so every
+    claim is spliced into the slack in float form instead of the
+    Fraction-safe exact form — the configuration the >=200x acceptance
+    bar targets.
     """
     capacity = 60.0 if inexact else 60
     available = ResourceSet.of(term(capacity, cpu("l1"), 0, horizon))
@@ -238,7 +240,7 @@ def bench_admission(
     return {
         "arrivals": count,
         "admitted": sum(fast_decisions),
-        "kernel": "vectorized-float" if inexact else "exact-scalar",
+        "kernel": "float-splice" if inexact else "exact-scalar",
         "fast_s": fast,
         "reference_s": reference,
         "speedup": reference / fast if fast else float("inf"),
@@ -246,17 +248,18 @@ def bench_admission(
     }
 
 
-def _last_decile_ms(count: int) -> Dict[str, float]:
-    """Median latency of the last 10% of ``count`` exact admissions
-    against one controller, on E15's sizing (the horizon grows with the
-    count, so the load per tick is the same at every size)."""
+def _last_decile_ms(count: int, *, inexact: bool = False) -> Dict[str, float]:
+    """Median latency of the last 10% of ``count`` admissions against
+    one controller, on E15's sizing (the horizon grows with the count,
+    so the load per tick is the same at every size)."""
     horizon = count * 17 // 10
+    capacity = 60.0 if inexact else 60
     controller = AdmissionController(
-        ResourceSet.of(term(60, cpu("l1"), 0, horizon))
+        ResourceSet.of(term(capacity, cpu("l1"), 0, horizon))
     )
     latencies = []
     admitted = 0
-    for requirement in _arrivals(count, horizon):
+    for requirement in _arrivals(count, horizon, inexact=inexact):
         started = time.perf_counter()
         admitted += controller.admit(requirement).admitted
         latencies.append(time.perf_counter() - started)
@@ -264,20 +267,23 @@ def _last_decile_ms(count: int) -> Dict[str, float]:
     return {"admitted": admitted, "ms": statistics.median(tail) * 1e3}
 
 
-def bench_latency_curve(sizes, *, repeats: int = 3) -> Dict[str, object]:
-    """Exact-path last-decile admission latency at each admitted count;
-    the best of ``repeats`` runs per size, so a burst of host load does
-    not masquerade as growth."""
+def bench_latency_curve(
+    sizes, *, inexact: bool = False, repeats: int = 3
+) -> Dict[str, object]:
+    """Last-decile admission latency at each admitted count, on the
+    float path with ``inexact=True`` and the exact path otherwise; the
+    best of ``repeats`` runs per size, so a burst of host load does not
+    masquerade as growth."""
     points = []
     for count in sizes:
-        runs = [_last_decile_ms(count) for _ in range(repeats)]
+        runs = [_last_decile_ms(count, inexact=inexact) for _ in range(repeats)]
         points.append({
             "admitted": runs[0]["admitted"],
             "last_decile_ms": min(run["ms"] for run in runs),
         })
     by_size = dict(zip(sizes, points))
     return {
-        "kernel": "exact-scalar",
+        "kernel": "float-splice" if inexact else "exact-scalar",
         "points": points,
         "ratio_1000_over_125": (
             by_size[1000]["last_decile_ms"] / by_size[125]["last_decile_ms"]
@@ -313,13 +319,18 @@ def run_suite(*, quick: bool = False) -> Dict[str, Dict[str, float]]:
             "admission": bench_admission(count=120, horizon=300, inexact=True),
             "admission_exact": bench_admission(count=120, horizon=300),
             "latency_curve": bench_latency_curve(CURVE_SIZES_QUICK),
+            "latency_curve_float": bench_latency_curve(
+                CURVE_SIZES_QUICK, inexact=True
+            ),
         }
-        curve = results["latency_curve"]
-        assert curve["ratio_1000_over_125"] <= FLATNESS_BAR, (
-            f"exact admission latency is not flat: last-decile latency at "
-            f"1000 admitted is {curve['ratio_1000_over_125']:.2f}x that at "
-            f"125 (bar {FLATNESS_BAR}x): {curve['points']}"
-        )
+        for key, path in (("latency_curve", "exact"),
+                          ("latency_curve_float", "float")):
+            curve = results[key]
+            assert curve["ratio_1000_over_125"] <= FLATNESS_BAR, (
+                f"{path} admission latency is not flat: last-decile latency "
+                f"at 1000 admitted is {curve['ratio_1000_over_125']:.2f}x "
+                f"that at 125 (bar {FLATNESS_BAR}x): {curve['points']}"
+            )
     else:
         results = {
             "point_queries": bench_point_queries(breaks=2000, queries=5000),
@@ -331,10 +342,13 @@ def run_suite(*, quick: bool = False) -> Dict[str, Dict[str, float]]:
             ),
             "admission_exact": bench_admission(count=1000, horizon=1700),
             "latency_curve": bench_latency_curve(CURVE_SIZES),
+            "latency_curve_float": bench_latency_curve(
+                FLOAT_CURVE_SIZES, inexact=True
+            ),
         }
         # Acceptance: 1k+ admitted and zero divergence on both paths;
-        # >= 200x for the vectorized float headline, >= 5x for the
-        # Fraction-safe exact path.
+        # >= 200x for the float headline, >= 5x for the Fraction-safe
+        # exact path.
         assert results["admission"]["admitted"] >= 1000, results["admission"]
         assert results["admission"]["speedup"] >= 200.0, results["admission"]
         assert results["admission_exact"]["admitted"] >= 1000, (
@@ -366,16 +380,18 @@ def _render(results: Dict[str, Dict[str, float]]) -> str:
                 else ""
             )
         )
-    curve = results["latency_curve"]
-    lines.append(
-        "  exact last-decile admission latency: "
-        + "  ".join(
-            f"{point['admitted']}:{point['last_decile_ms']:.3f}ms"
-            for point in curve["points"]
+    for key, path in (("latency_curve", "exact"),
+                      ("latency_curve_float", "float")):
+        curve = results[key]
+        lines.append(
+            f"  {path} last-decile admission latency: "
+            + "  ".join(
+                f"{point['admitted']}:{point['last_decile_ms']:.3f}ms"
+                for point in curve["points"]
+            )
+            + f"  (1000/125 = {curve['ratio_1000_over_125']:.2f}x,"
+            f" bar {FLATNESS_BAR}x)"
         )
-        + f"  (1000/125 = {curve['ratio_1000_over_125']:.2f}x,"
-        f" bar {FLATNESS_BAR}x)"
-    )
     return "\n".join(lines)
 
 

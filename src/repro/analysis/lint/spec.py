@@ -220,19 +220,11 @@ def _interval_wire_findings(data: Any, path: str, where: str) -> List[Finding]:
 
 def _one_interval(data: Mapping[str, Any], path: str, where: str) -> List[Finding]:
     try:
-        start = time_from_wire(data["start"])
-        end = time_from_wire(data["end"])
+        start = time_from_wire(data["start"], "start")
+        end = time_from_wire(data["end"], "end")
     except (KeyError, SerializationError) as exc:
         return [_finding(path, "spec-syntax", f"bad interval: {exc}", where=where)]
     out: List[Finding] = []
-    for label, value in (("start", start), ("end", end)):
-        if isinstance(value, float) and math.isnan(value):
-            out.append(
-                _finding(path, "spec-interval",
-                         f"interval {label} is NaN", where=where)
-            )
-    if out:
-        return out
     if isinstance(start, float) and math.isinf(start) and start > 0:
         out.append(
             _finding(path, "spec-interval",
@@ -615,7 +607,8 @@ def _check_temporal_spec(
             continue
         try:
             concrete[name] = Interval(
-                time_from_wire(wire["start"]), time_from_wire(wire["end"])
+                time_from_wire(wire["start"], "start"),
+                time_from_wire(wire["end"], "end"),
             )
         except (KeyError, RotaError, SerializationError) as exc:
             findings.append(
@@ -656,7 +649,7 @@ def _check_scenario(
         )
     horizon = None
     try:
-        horizon = time_from_wire(document["horizon"])
+        horizon = time_from_wire(document["horizon"], "horizon")
     except KeyError:
         findings.append(
             _finding(path, "spec-syntax",

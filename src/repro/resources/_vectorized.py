@@ -1,11 +1,18 @@
-"""Vectorized (numpy) kernels for the *inexact* profile path.
+"""Vectorized (numpy) kernels for the *inexact* profile path's full merges.
 
 :class:`~repro.resources.profile.RateProfile` keeps two regimes: exact
 coordinates (int/Fraction) run the scalar reference-pinned fast path,
-and inexact (float-contaminated) profiles batch onto numpy float64
-vectors.  This module holds those kernels; it is the only place in the
-tree allowed to import numpy (enforced by the ``layering`` lint rule's
-third-party pin), so the exactness boundary stays auditable.
+and inexact (float-contaminated) profiles compute in float64.  An
+inexact ``+``/``subtract`` with a finite-support operand (every claim
+admission subtracts from the slack) is spliced in pure Python and never
+reaches this module; the splice must return exactly what :func:`add` /
+:func:`subtract` would.  The kernels here serve the full merges:
+``+``/``subtract`` without a finite-support operand, ``saturating_sub``,
+``cap``, ``dominates``, ``sum`` and ``from_segments``, plus ``rate_at``
+batches and window integrals on profiles that already carry arrays.
+This is the only place in the tree allowed to import numpy (enforced by
+the ``layering`` lint rule's third-party pin), so the exactness boundary
+stays auditable.
 
 Bit-identity contract: every kernel reproduces the scalar float path's
 IEEE-754 operation order exactly —

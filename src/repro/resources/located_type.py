@@ -25,6 +25,37 @@ from typing import Union
 from repro.errors import InvalidTermError
 
 
+def _cached_hash(cls):
+    """Keep each instance's field hash after its first computation.
+
+    Located types key every resource-set and per-type dict, so their
+    hash is taken on nearly every lookup of the admission path.  The
+    cache sits in the instance ``__dict__`` beside the fields: not a
+    field, so equality and ``repr`` ignore it, and dropped from the
+    pickled state, because string hashes differ between processes
+    (``PYTHONHASHSEED``) and the pickled bytes must not change."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__
+        if "_hash" in state:
+            state = {k: v for k, v in state.items() if k != "_hash"}
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_cached_hash
 @dataclass(frozen=True)
 class Node:
     """A named location (host, cluster, site...)."""
@@ -39,6 +70,7 @@ class Node:
         return self.name
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class Link:
     """A directed communication channel between two locations.
@@ -67,6 +99,7 @@ class Link:
 Location = Union[Node, Link]
 
 
+@_cached_hash
 @dataclass(frozen=True)
 class LocatedType:
     """A resource kind bound to a location: the paper's ``xi``.

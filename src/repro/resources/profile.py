@@ -33,8 +33,8 @@ branch first needs it.  Whether a profile is exact is known by
 construction for the results of exact operations and found by one scan
 otherwise.  The binary algebra is an ``O(n + m)`` two-pointer merge
 whose output is already sorted, so it is never re-sorted.  When one
-operand of an exact ``+`` or ``subtract`` has finite support (its final
-rate is 0, as every schedule claim's is), only that operand's span is
+operand of a ``+`` or ``subtract`` has finite support (its final rate
+is 0, as every schedule claim's is), only that operand's span is
 merged: the other profile's breakpoints before and after the span are
 copied verbatim (their rates are unchanged there), so admitting a claim
 of ``k`` breakpoints costs ``O(log n + k)`` Python work however large
@@ -48,13 +48,23 @@ Two arithmetic regimes share that surface.  **Exact** profiles (every
 coordinate int/Fraction) stay on the scalar fast path above — the
 correctness oracle chain (`_reference_*` -> scalar fast path) is never
 perturbed by vectorization.  **Inexact** profiles (``is_exact()`` false
-for some coordinate) batch onto numpy float64 vectors in
-:mod:`repro.resources._vectorized` whenever every coordinate is
-losslessly float64-representable; the kernels reproduce the scalar
-float path's IEEE-754 operation order bit-for-bit (differentially
-fuzzed in ``tests/test_profile_differential.py``).  One visible
-canonicalization: vec-built profiles carry float coordinates, so an
-int that rode along in an inexact profile comes back as the equal
+for some coordinate) compute in float64 whenever every coordinate is
+losslessly float64-representable.  A ``+`` or ``subtract`` with a
+finite-support operand is spliced as above, on operands in *float form*
+(every coordinate a Python ``float``): Python float arithmetic is
+IEEE-754 double arithmetic, so the result is exactly what the numpy
+kernels in :mod:`repro.resources._vectorized` would return for the
+whole profiles, tolerance snapping, error messages and all
+(``tests/test_profile_splice.py``).  A profile is in float form by
+construction when a splice or a kernel made it, and is converted at
+most once otherwise.  The full merges (``saturating_sub``, ``cap``,
+``dominates``, ``sum``, ``from_segments``, operands of infinite
+support) batch onto the numpy kernels, which reproduce the scalar float
+path's IEEE-754 operation order bit-for-bit (differentially fuzzed in
+``tests/test_profile_differential.py``).  Neither a query nor the
+choice to splice builds the float64 arrays.  One visible
+canonicalization on both float paths: results carry float coordinates,
+so an int that rode along in an inexact profile comes back as the equal
 float (``2 -> 2.0``).
 """
 
@@ -75,6 +85,10 @@ from repro.resources import _vectorized as _vec
 #: Tolerance used when float arithmetic is involved.  Exact numeric types
 #: (int, Fraction) never need it.
 EPSILON = 1e-9  # repro-lint: disable=float-literal -- the sanctioned float-tolerance boundary itself (see is_exact below)
+
+#: The zero of the float regime: the rate the float64 kernels read before
+#: a profile's first breakpoint, and the value float dust snaps to.
+_FLOAT_ZERO = 0.0  # repro-lint: disable=float-literal -- the float regime's zero, used only where a float has entered
 
 
 def is_exact(value: object) -> bool:
@@ -147,7 +161,7 @@ class RateProfile:
     """An immutable, piecewise-constant, non-negative function of time."""
 
     __slots__ = (
-        "_pts", "_times", "_cum", "_exact", "_vt", "_vr", "_vok", "_rl"
+        "_pts", "_times", "_cum", "_exact", "_vt", "_vr", "_vok", "_rl", "_flt"
     )
 
     def __init__(self, points: Iterable[Tuple[Time, Time]] = ()) -> None:
@@ -161,6 +175,7 @@ class RateProfile:
         self._vr = None
         self._vok: Optional[bool] = None
         self._rl: Optional[list] = None
+        self._flt = None  # see _float_form
 
     @property
     def _points(self) -> tuple[Tuple[Time, Time], ...]:
@@ -168,9 +183,7 @@ class RateProfile:
 
         Vec-built profiles carry their breakpoints as float64 arrays and
         materialize the tuples only when something actually needs them
-        (equality, pickling, the scalar fallbacks): the hot admission
-        chains — subtract, cap, integral, accumulation walks — stay on
-        the arrays end to end."""
+        (equality, pickling, a splice, the scalar fallbacks)."""
         pts = self._pts
         if pts is None:
             pts = tuple(zip(self._vt.tolist(), self._vr.tolist()))
@@ -208,6 +221,44 @@ class RateProfile:
             exact = all(is_exact(t) and is_exact(r) for t, r in self._pts)
             self._exact = exact
         return exact
+
+    def _float_form(self) -> Optional["RateProfile"]:
+        """This profile with every coordinate a Python ``float``, the
+        form the float64 kernels return (``2 -> 2.0``), or ``None`` when
+        some coordinate is not float64-safe.
+
+        ``_flt`` is ``True`` when the profile is in float form (known by
+        construction for kernel and float-splice results), ``False``
+        when it cannot be, or the converted twin.  Any other profile is
+        scanned and converted once, on its first float splice."""
+        form = self._flt
+        if form is None:
+            pts = self._points
+            if not _vec.points_safe(pts):
+                form = False
+            elif all(type(t) is float and type(r) is float for t, r in pts):
+                form = True
+            else:
+                # Safe coordinates map to floats one-to-one, so the
+                # converted breakpoints are still canonical.
+                form = RateProfile._adopt(
+                    tuple((float(t), float(r)) for t, r in pts),
+                    False,
+                    floats=True,
+                )
+            self._flt = form
+        if form is True:
+            return self
+        return None if form is False else form
+
+    def _finite(self) -> bool:
+        """Whether the rate is 0 past the last breakpoint (finite
+        support, as every schedule claim has).  Non-zero profiles only;
+        vec-built ones are read off the rate array."""
+        pts = self._pts
+        if pts is None:
+            return bool(self._vr[-1] == 0)
+        return pts[-1][1] == 0
 
     @property
     def breakpoint_count(self) -> int:
@@ -262,6 +313,7 @@ class RateProfile:
         profile._vr = rates
         profile._vok = True
         profile._rl = None
+        profile._flt = True
         return profile
 
     @classmethod
@@ -271,16 +323,15 @@ class RateProfile:
         exact: bool,
         times: Optional[list] = None,
         rates: Optional[list] = None,
+        floats: bool = False,
     ) -> "RateProfile":
-        """Adopt canonical breakpoint tuples (sorted, unique in time,
-        rate-merged) without re-normalising, with whatever parts of the
-        index the caller already holds.  Inexact points are validated;
-        exact ones come from validated operands by exact arithmetic
-        whose negative results the caller has already refused."""
+        """Adopt canonical, valid breakpoint tuples (sorted, unique in
+        time, rate-merged, non-negative) without re-normalising, with
+        whatever parts of the index the caller already holds.
+        ``floats`` marks points whose every coordinate is a Python
+        ``float`` (see :meth:`_float_form`)."""
         if not pts:
             return _ZERO
-        if not exact:
-            _validate(pts)
         profile = cls.__new__(cls)
         profile._pts = pts
         profile._times = times
@@ -290,6 +341,7 @@ class RateProfile:
         profile._vr = None
         profile._vok = None
         profile._rl = rates
+        profile._flt = True if floats else None
         return profile
 
     def __reduce__(self):
@@ -429,20 +481,19 @@ class RateProfile:
     def rates_at(self, ts: Sequence[Time]) -> List[Time]:
         """Batch :meth:`rate_at`: the rate in effect at each query time.
 
-        One vectorized bisection over all queries when both the profile
-        and the query times are float64-safe; the results are the stored
-        rate objects either way, identical to mapping :meth:`rate_at`.
+        One vectorized bisection over all queries when the profile
+        already carries float64 arrays and the query times are
+        float64-safe; the results are the stored rate objects either
+        way, identical to mapping :meth:`rate_at`.
         """
         if self.is_zero:
             return [0] * len(ts)
-        if _vec.HAVE_NUMPY and all(_vec.coordinate_safe(t) for t in ts):
-            va = self._vector_index()
-            if va is not None:
-                rates = self._rates()
-                return [
-                    rates[i] if i >= 0 else 0
-                    for i in _vec.rate_indices(va, ts).tolist()
-                ]
+        if self._vok and all(_vec.coordinate_safe(t) for t in ts):
+            rates = self._rates()
+            return [
+                rates[i] if i >= 0 else 0
+                for i in _vec.rate_indices((self._vt, self._vr), ts).tolist()
+            ]
         return [self.rate_at(t) for t in ts]
 
     def segments(self) -> Iterator[Tuple[Interval, Time]]:
@@ -502,8 +553,9 @@ class RateProfile:
         the paper's ``r x tau`` generalised to step functions.
 
         Exact profiles answer in ``O(log n)`` from the cumulative-integral
-        array; float profiles fall back to a bisected segment scan that
-        reproduces the reference summation order bit-for-bit.
+        array; others run a bisected segment scan that reproduces the
+        reference summation order bit-for-bit, on the float64 arrays
+        when the profile already carries them (no query builds them).
         """
         if window.is_empty or self.is_zero:
             return 0
@@ -511,10 +563,8 @@ class RateProfile:
         start, end = window.start, window.end
         if self._is_exact() and is_exact(start) and is_exact(end):
             return self._cumulative(end) - self._cumulative(start)
-        if _vec.coordinate_safe(start) and _vec.coordinate_safe(end):
-            va = self._vector_index()
-            if va is not None:
-                return _vec.integral(va, start, end)
+        if self._vok and _vec.coordinate_safe(start) and _vec.coordinate_safe(end):
+            return _vec.integral((self._vt, self._vr), start, end)
         times = self._times
         rates = self._rates()
         lo = bisect_right(times, start) - 1
@@ -626,6 +676,7 @@ class RateProfile:
         self,
         other: "RateProfile",
         span: Optional[Tuple[int, int, int, int]] = None,
+        zero: Time = 0,
     ) -> Iterator[Tuple[Time, Time, Time]]:
         """Two-pointer merge over both breakpoint lists: yields
         ``(time, self_rate, other_rate)`` at every breakpoint of either
@@ -634,11 +685,12 @@ class RateProfile:
 
         ``span = (i, i_end, j, j_end)`` merges only ``self``'s
         breakpoints ``i:i_end`` and ``other``'s ``j:j_end``, each side
-        entering at the rate of its breakpoint just before the slice."""
+        entering at the rate of its breakpoint just before the slice, or
+        at ``zero`` before its first breakpoint."""
         a, b = self._points, other._points
         i, i_end, j, j_end = span or (0, len(a), 0, len(b))
-        ra: Time = a[i - 1][1] if i else 0
-        rb: Time = b[j - 1][1] if j else 0
+        ra: Time = a[i - 1][1] if i else zero
+        rb: Time = b[j - 1][1] if j else zero
         while i < i_end or j < j_end:
             if j >= j_end or (i < i_end and a[i][0] <= b[j][0]):
                 t = a[i][0]
@@ -656,10 +708,11 @@ class RateProfile:
         """Positions ``lo:hi`` of this profile's breakpoints that lie in
         ``[first, last]``, the span of ``narrow``'s breakpoints
         (``O(log n)``; bisects the tuples when no index is built)."""
-        first, last = narrow._pts[0][0], narrow._pts[-1][0]
+        npts = narrow._points
+        first, last = npts[0][0], npts[-1][0]
         times = self._times
         if times is None:
-            pts = self._pts
+            pts = self._points
             return (
                 bisect_left(pts, first, key=_time_of),
                 bisect_right(pts, last, key=_time_of),
@@ -680,18 +733,22 @@ class RateProfile:
         ``combine`` returns the other (wide) operand's rate unchanged.
         Only that span is merged; the wide operand's breakpoints before
         and after it are copied verbatim, and so are its times and rates
-        index when built.  Without ``narrow`` everything is merged."""
+        index when built.  Without ``narrow`` everything is merged.
+
+        An inexact splice runs on float-form operands (see
+        :meth:`_spliced`) and yields a float-form result."""
+        floats = narrow is not None and not exact
         if narrow is None:
             wide, lo, hi = self, 0, len(self._points)
             span = None
         elif narrow is other:
             wide = self
             lo, hi = self._span_of(other)
-            span = (lo, hi, 0, len(other._pts))
+            span = (lo, hi, 0, len(other._points))
         else:
             wide = other
             lo, hi = other._span_of(self)
-            span = (0, len(self._pts), lo, hi)
+            span = (0, len(self._points), lo, hi)
         wpts = wide._points
         # Seeding the run merge with the rate the prefix ends on joins
         # the leading seam (and drops a leading zero when there is no
@@ -699,36 +756,75 @@ class RateProfile:
         # the narrow operand's last breakpoint, where the result is back
         # to the wide rate, which differs from the next wide breakpoint's.
         window = _merge_runs(
-            ((t, combine(t, ra, rb)) for t, ra, rb in self._merged_rates(other, span)),
+            (
+                (t, combine(t, ra, rb))
+                for t, ra, rb in self._merged_rates(
+                    other, span, _FLOAT_ZERO if floats else 0
+                )
+            ),
             wpts[lo - 1][1] if lo else 0,
         )
+        if not exact:
+            # Only the merged window is new: a prefix and suffix come
+            # from validated profiles.
+            _validate(window)
         pts = wpts[:lo] + tuple(window) + wpts[hi:]
         times = rates = None
         if narrow is not None and wide._times is not None:
             times = wide._times[:lo] + [t for t, _ in window] + wide._times[hi:]
             if wide._rl is not None:
                 rates = wide._rl[:lo] + [r for _, r in window] + wide._rl[hi:]
-        return RateProfile._adopt(pts, exact, times, rates)
+        return RateProfile._adopt(pts, exact, times, rates, floats=floats)
+
+    def _spliced(
+        self,
+        other: "RateProfile",
+        combine,
+        narrow: "RateProfile",
+        floats: bool = True,
+    ) -> Optional["RateProfile"]:
+        """:meth:`_combine` over the span of ``narrow`` (one of the
+        operands, with finite support) only, or ``None`` when the
+        operands are neither both exact nor — ``floats`` permitting —
+        both float64-safe.
+
+        Inexact operands are merged in float form, so every coordinate
+        is the Python ``float`` the float64 kernels would return: Python
+        float arithmetic is IEEE-754 double arithmetic, and ``combine``
+        is elementwise, so the spliced result equals the kernel's."""
+        if self._is_exact() and other._is_exact():
+            return self._combine(other, combine, True, narrow)
+        if not floats:
+            return None
+        a, b = self._float_form(), other._float_form()
+        if a is None or b is None:
+            return None
+        return a._combine(b, combine, False, b if narrow is other else a)
 
     def __add__(self, other: "RateProfile") -> "RateProfile":
         if self.is_zero:
             return other
         if other.is_zero:
             return self
+        # Splice the operand with finite support, the shorter if both.
+        narrow = None
+        if other._finite() and (
+            not self._finite()
+            or other.breakpoint_count <= self.breakpoint_count
+        ):
+            narrow = other
+        elif self._finite():
+            narrow = self
+        if narrow is not None:
+            spliced = self._spliced(other, _add_rates, narrow)
+            if spliced is not None:
+                return spliced
         pair = self._vector_pair(other)
         if pair is not None:
             return RateProfile._from_float_arrays(*_vec.add(*pair))
-        exact = self._is_exact() and other._is_exact()
-        narrow = None
-        if exact:
-            # Splice the operand with finite support, the shorter if both.
-            if other._pts[-1][1] == 0 and (
-                self._pts[-1][1] != 0 or len(other._pts) <= len(self._pts)
-            ):
-                narrow = other
-            elif self._pts[-1][1] == 0:
-                narrow = self
-        return self._combine(other, _add_rates, exact, narrow)
+        return self._combine(
+            other, _add_rates, self._is_exact() and other._is_exact()
+        )
 
     def subtract(self, other: "RateProfile", *, tolerance: float = EPSILON) -> "RateProfile":
         """Pointwise subtraction; raises when the result would go negative.
@@ -740,11 +836,31 @@ class RateProfile:
         """
         if other.is_zero:
             return self
-        # Vectorize only under a sub-unit tolerance: integer-valued
-        # differences are exact for the scalar path (they raise however
-        # small), and any |diff| >= 1 also exceeds a sub-unit tolerance,
-        # so the float64 kernel cannot mistake one for snappable dust.
-        pair = self._vector_pair(other) if tolerance < 1 else None
+
+        def difference(t: Time, ra: Time, rb: Time) -> Time:
+            value = ra - rb
+            if value < 0:
+                if not is_exact(value) and -value <= tolerance:
+                    return _FLOAT_ZERO
+                raise UndefinedOperationError(
+                    f"subtraction would make the rate negative at t={t!r} "
+                    f"({ra!r} - {rb!r})"
+                )
+            return value
+
+        # Inexact operands go to float64 (spliced or vectorized) only
+        # under a sub-unit tolerance: integer-valued differences are
+        # exact for the scalar path (they raise however small), and any
+        # |diff| >= 1 also exceeds a sub-unit tolerance, so float64
+        # cannot mistake one for snappable dust.
+        floats = tolerance < 1
+        if other._finite():
+            # Outside a finite-support subtrahend's span it is 0, so
+            # nothing there can go negative and the minuend carries over.
+            spliced = self._spliced(other, difference, other, floats)
+            if spliced is not None:
+                return spliced
+        pair = self._vector_pair(other) if floats else None
         if pair is not None:
             result = _vec.subtract(*pair, tolerance)
             if result[0] == "negative":
@@ -756,23 +872,9 @@ class RateProfile:
             if result[0] == "nan":
                 raise InvalidTermError("profile rate must not be NaN")
             return RateProfile._from_float_arrays(result[1], result[2])
-
-        def difference(t: Time, ra: Time, rb: Time) -> Time:
-            value = ra - rb
-            if value < 0:
-                if not is_exact(value) and -value <= tolerance:
-                    return 0
-                raise UndefinedOperationError(
-                    f"subtraction would make the rate negative at t={t!r} "
-                    f"({ra!r} - {rb!r})"
-                )
-            return value
-
-        exact = self._is_exact() and other._is_exact()
-        # Outside a finite-support subtrahend's span it is 0, so nothing
-        # there can go negative and the minuend carries over unchanged.
-        narrow = other if exact and other._pts[-1][1] == 0 else None
-        return self._combine(other, difference, exact, narrow)
+        return self._combine(
+            other, difference, self._is_exact() and other._is_exact()
+        )
 
     def __sub__(self, other: "RateProfile") -> "RateProfile":
         return self.subtract(other)

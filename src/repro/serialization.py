@@ -59,20 +59,42 @@ def time_to_wire(value: Time) -> Any:
     return value
 
 
-def time_from_wire(value: Any) -> Time:
+def time_from_wire(value: Any, field: str = "time", *, finite: bool = False) -> Time:
+    """Decode the number in wire field ``field``.
+
+    JSON booleans are not numbers here, although ``bool`` subclasses
+    ``int`` (``true`` would read as 1), and NaN is never a value.  An
+    infinite value (``"inf"``, or a float literal such as ``1e999``
+    that overflows) is accepted unless ``finite`` is set, as it is for
+    rates and quantities: an infinite rate would make every deadline
+    admissible."""
     if isinstance(value, str):
-        if value == "inf":
+        if value == "inf" and not finite:
             return math.inf
         if "/" in value:
             numerator, _, denominator = value.partition("/")
             try:
                 return Fraction(int(numerator), int(denominator))
-            except ValueError as exc:
-                raise SerializationError(f"bad rational {value!r}") from exc
-        raise SerializationError(f"bad time value {value!r}")
-    if isinstance(value, (int, float)):
+            except (ValueError, ZeroDivisionError) as exc:
+                raise SerializationError(
+                    f"bad {field} rational {value!r}"
+                ) from exc
+        raise SerializationError(f"bad {field} value {value!r}")
+    if isinstance(value, bool):
+        raise SerializationError(
+            f"bad {field} value {value!r}: a boolean is not a number"
+        )
+    if isinstance(value, int):
         return value
-    raise SerializationError(f"bad time value {value!r}")
+    if isinstance(value, float):
+        if math.isnan(value):
+            raise SerializationError(f"bad {field} value {value!r}: NaN")
+        if finite and math.isinf(value):
+            raise SerializationError(
+                f"bad {field} value {value!r}: must be finite"
+            )
+        return value
+    raise SerializationError(f"bad {field} value {value!r}")
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +152,9 @@ def interval_from_wire(data: Mapping[str, Any]) -> Interval:
     _expect_object(data, "interval")
     if data.get("kind") != "interval":
         raise SerializationError(f"expected interval, got {data.get('kind')!r}")
-    return Interval(time_from_wire(data["start"]), time_from_wire(data["end"]))
+    return Interval(
+        time_from_wire(data["start"], "start"), time_from_wire(data["end"], "end")
+    )
 
 
 def term_to_wire(item: ResourceTerm) -> dict:
@@ -147,7 +171,7 @@ def term_from_wire(data: Mapping[str, Any]) -> ResourceTerm:
     if data.get("kind") != "term":
         raise SerializationError(f"expected term, got {data.get('kind')!r}")
     return ResourceTerm(
-        time_from_wire(data["rate"]),
+        time_from_wire(data["rate"], "rate", finite=True),
         ltype_from_wire(data["ltype"]),
         interval_from_wire(data["window"]),
     )
@@ -189,7 +213,9 @@ def demands_from_wire(data: Mapping[str, Any]) -> Demands:
         raise SerializationError(f"expected demands, got {data.get('kind')!r}")
     return Demands(
         {
-            ltype_from_wire(entry["ltype"]): time_from_wire(entry["quantity"])
+            ltype_from_wire(entry["ltype"]): time_from_wire(
+                entry["quantity"], "quantity", finite=True
+            )
             for entry in data["amounts"]
         }
     )
@@ -277,8 +303,8 @@ def requirement_from_wire(data: Mapping[str, Any]):
 def _wait_from_wire(data: Mapping[str, Any]) -> Wait:
     _expect_object(data, "wait")
     return Wait(
-        time_from_wire(data["min_delay"]),
-        time_from_wire(data["max_delay"]),
+        time_from_wire(data["min_delay"], "min_delay"),
+        time_from_wire(data["max_delay"], "max_delay"),
         data.get("reason", "reply"),
     )
 

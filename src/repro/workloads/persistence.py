@@ -175,7 +175,7 @@ def event_from_wire(data: dict) -> Event:
         make = partition_start if kind == "partition_start" else partition_heal
         return make(time, data["name"], [tuple(pair) for pair in links])
     return rate_degradation(
-        time, data["location"], time_from_wire(data["factor"])
+        time, data["location"], time_from_wire(data["factor"], "factor")
     )
 
 

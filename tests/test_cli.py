@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +186,39 @@ class TestCheck:
         assert main(["check", path, "--align", "1"]) == 0
         result = json.loads(capsys.readouterr().out)
         assert result["admitted"] is True
+
+
+#: A shipped check request with one number made malformed on the wire.
+EXAMPLE_REQUEST = (
+    Path(__file__).resolve().parent.parent / "examples" / "specs" / "check_request.json"
+)
+BAD_NUMBERS = [
+    ('"rate": 6', '"rate": 1e999'),
+    ('"rate": 6', '"rate": "inf"'),
+    ('"quantity": 24', '"quantity": true'),
+    ('"start": 0', '"start": NaN'),
+    ('"end": 16', '"end": false'),
+]
+
+
+def write_bad_request(tmp_path, old, new):
+    text = EXAMPLE_REQUEST.read_text()
+    assert old in text
+    path = tmp_path / "request.json"
+    path.write_text(text.replace(old, new, 1))
+    return str(path)
+
+
+class TestCheckRejectsBadNumbers:
+    @pytest.mark.parametrize("old, new", BAD_NUMBERS)
+    def test_exit_2_without_traceback(self, tmp_path, capsys, old, new):
+        path = write_bad_request(tmp_path, old, new)
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed request: bad ")
+        field = new.split('"')[1]
+        assert field in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestReplay:

@@ -117,6 +117,22 @@ class TestSpecCommand:
         assert "object, got int 5" in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("old, new", [
+        ('"rate": 6', '"rate": 1e999'),
+        ('"quantity": 24', '"quantity": true'),
+        ('"start": 0', '"start": NaN'),
+    ])
+    def test_bad_wire_number_is_a_finding(self, old, new, tmp_path, capsys):
+        text = (EXAMPLES / "check_request.json").read_text()
+        assert old in text
+        bad = tmp_path / "request.json"
+        bad.write_text(text.replace(old, new, 1))
+        assert lint_main(["spec", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "[spec-syntax]" in captured.out
+        assert new.split('"')[1] in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_missing_file_exits_2(self, capsys):
         assert lint_main(["spec", "/nonexistent/spec.json"]) == 2
         assert "no such file" in capsys.readouterr().err

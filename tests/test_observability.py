@@ -550,6 +550,10 @@ class TestSlackBreakpointGauge:
                 ResourceSet.of(term(4.0, cpu1, 0, 16))
             )
             assert controller.admit(self._requirement(cpu1, 6.0, 2, 8, "a"))
+            # The admission spliced its claim into the slack as tuples; a
+            # revocation is a full merge on the numpy kernels, which
+            # leaves the slack as float64 arrays.
+            controller.revoke_resources(ResourceSet.of(term(1.0, cpu1, 12, 14)))
         profile = controller.expiring_slack.profile(cpu1)
         assert profile._pts is None  # the gauge read the array length
         assert self._series(registry, cpu1) == len(profile.breakpoints)

@@ -67,7 +67,37 @@ class TestScalars:
         with pytest.raises(SerializationError):
             time_from_wire("1/zero")
         with pytest.raises(SerializationError):
+            time_from_wire("1/0")
+        with pytest.raises(SerializationError):
             time_from_wire(None)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_are_not_numbers(self, value):
+        with pytest.raises(SerializationError, match="start.*boolean"):
+            time_from_wire(value, "start")
+
+    def test_nan_rejected(self):
+        with pytest.raises(SerializationError, match="end.*NaN"):
+            time_from_wire(json.loads("NaN"), "end")
+
+    def test_infinite_window_end_still_round_trips(self):
+        window = Interval(0, math.inf)
+        assert interval_from_wire(roundtrip_json(interval_to_wire(window))) == window
+        assert math.isinf(time_from_wire(json.loads("1e999"), "end"))
+
+    @pytest.mark.parametrize("wire", ["inf", 1e999, True, float("nan")])
+    def test_rate_must_be_a_finite_number(self, wire):
+        data = term_to_wire(term(2, cpu("l1"), 0, 4))
+        data["rate"] = wire
+        with pytest.raises(SerializationError, match="rate"):
+            term_from_wire(data)
+
+    @pytest.mark.parametrize("wire", ["inf", 1e999, True, float("nan")])
+    def test_quantity_must_be_a_finite_number(self, wire):
+        data = demands_to_wire(Demands({cpu("l1"): 3}))
+        data["amounts"][0]["quantity"] = wire
+        with pytest.raises(SerializationError, match="quantity"):
+            demands_from_wire(data)
 
 
 class TestLocationsAndTypes:
