@@ -68,6 +68,8 @@ CURVE_SIZES_QUICK = (125, 250, 500, 1000)
 #: Flatness gate, on each path: last-decile latency at 1000 admitted
 #: over that at 125.
 FLATNESS_BAR = 3.0
+#: Result keys of the two curves, with the path each one measures.
+CURVES = (("latency_curve", "exact"), ("latency_curve_float", "float"))
 
 
 def _timed(fn) -> float:
@@ -323,8 +325,7 @@ def run_suite(*, quick: bool = False) -> Dict[str, Dict[str, float]]:
                 CURVE_SIZES_QUICK, inexact=True
             ),
         }
-        for key, path in (("latency_curve", "exact"),
-                          ("latency_curve_float", "float")):
+        for key, path in CURVES:
             curve = results[key]
             assert curve["ratio_1000_over_125"] <= FLATNESS_BAR, (
                 f"{path} admission latency is not flat: last-decile latency "
@@ -380,8 +381,7 @@ def _render(results: Dict[str, Dict[str, float]]) -> str:
                 else ""
             )
         )
-    for key, path in (("latency_curve", "exact"),
-                      ("latency_curve_float", "float")):
+    for key, path in CURVES:
         curve = results[key]
         lines.append(
             f"  {path} last-decile admission latency: "

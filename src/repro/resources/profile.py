@@ -149,6 +149,15 @@ def _merge_runs(
     return merged
 
 
+def _splice(items: Sequence, lo: int, hi: int, window: list) -> list:
+    """``items`` with ``items[lo:hi]`` replaced by ``window``, as a new
+    list: one copy and a slice assignment, about twice as fast as
+    concatenating the slices around ``window``."""
+    spliced = list(items)
+    spliced[lo:hi] = window
+    return spliced
+
+
 def _validate(points: Iterable[Tuple[Time, Time]]) -> None:
     for time, rate in points:
         if isinstance(rate, float) and math.isnan(rate):
@@ -768,12 +777,12 @@ class RateProfile:
             # Only the merged window is new: a prefix and suffix come
             # from validated profiles.
             _validate(window)
-        pts = wpts[:lo] + tuple(window) + wpts[hi:]
+        pts = tuple(_splice(wpts, lo, hi, window))
         times = rates = None
         if narrow is not None and wide._times is not None:
-            times = wide._times[:lo] + [t for t, _ in window] + wide._times[hi:]
+            times = _splice(wide._times, lo, hi, [t for t, _ in window])
             if wide._rl is not None:
-                rates = wide._rl[:lo] + [r for _, r in window] + wide._rl[hi:]
+                rates = _splice(wide._rl, lo, hi, [r for _, r in window])
         return RateProfile._adopt(pts, exact, times, rates, floats=floats)
 
     def _spliced(
