@@ -15,7 +15,7 @@ experiment measures the rebuilt hot path against the retained
   attempt.  Decisions must not diverge *at all*: the speedup only counts
   because the answers are identical.  The workload runs twice: once with
   float (inexact) quantities, where claims are spliced into the slack in
-  float form (bit-identical to the numpy kernels) — the headline
+  float form (every coordinate a Python float) — the headline
   ``admission`` row — and once with integer (exact) quantities on the
   Fraction-safe scalar path (``admission_exact``).  The float workload
   uses dyadic rationals (halves over power-of-two durations) so every

@@ -38,7 +38,6 @@ from repro.analysis.lint.rules_code import (
     _CLOCK_CALLS,
     DETERMINISTIC_MODULES,
     EXACT_MODULES,
-    INEXACT_KERNELS,
 )
 
 #: Modules whose functions absorb nondeterminism taint instead of
@@ -46,11 +45,9 @@ from repro.analysis.lint.rules_code import (
 #: because their readings are strictly *telemetry* (PR 5 contract).
 NONDET_EXEMPT_TRANSIT: Tuple[str, ...] = ("repro.observability",)
 
-#: Modules whose functions absorb exactness taint: the declared float64
-#: kernels (floats are their job) and telemetry (floats never flow back).
-EXACT_EXEMPT_TRANSIT: Tuple[str, ...] = INEXACT_KERNELS + (
-    "repro.observability",
-)
+#: Modules whose functions absorb exactness taint: telemetry (floats
+#: never flow back).
+EXACT_EXEMPT_TRANSIT: Tuple[str, ...] = ("repro.observability",)
 
 #: Environment reads: no line rule owns these, so flow reports even the
 #: direct (chain-length-zero) case.
@@ -235,7 +232,6 @@ def _boundary_findings(
     *,
     rule: str,
     sink_modules: Sequence[str],
-    sink_exempt: Sequence[str],
     contract: str,
 ) -> Iterator[Finding]:
     seen: Set[Tuple[str, int, str]] = set()
@@ -243,15 +239,11 @@ def _boundary_findings(
         fn = program.functions[qname]
         if not _in_modules(fn.module, sink_modules):
             continue
-        if sink_exempt and _in_modules(fn.module, sink_exempt):
-            continue
         for callee, line, _kind in fn.calls:
             target = program.functions.get(callee)
             if target is None or not taint.tainted(callee):
                 continue
-            if _in_modules(target.module, sink_modules) and not (
-                sink_exempt and _in_modules(target.module, sink_exempt)
-            ):
+            if _in_modules(target.module, sink_modules):
                 continue  # intra-scope hop; report at the true boundary
             key = (qname, line, callee)
             if key in seen:
@@ -287,7 +279,6 @@ def nondeterminism_findings(
         taint,
         rule="flow-nondeterminism",
         sink_modules=sink_modules,
-        sink_exempt=(),
         contract=(
             "which the replay-verify contract of deterministic modules "
             "forbids at any call depth"
@@ -331,7 +322,6 @@ def exactness_findings(
         taint,
         rule="flow-exactness",
         sink_modules=sink_modules,
-        sink_exempt=INEXACT_KERNELS,
         contract=(
             "smuggling rounding into the int/Fraction arithmetic the "
             "Theorem 1-4 procedures rely on"

@@ -71,14 +71,12 @@ IMPORT_EXCEPTIONS: Dict[str, Tuple[str, ...]] = {
     "service": ("repro.system.channel",),
 }
 
-#: Third-party imports pinned to specific modules.  ``numpy`` backs the
-#: *inexact* (float64) profile path only: the exact Fraction path and
-#: the ``_reference_*`` oracles must never acquire a numpy dependency,
-#: so the import is legal solely inside the declared vector-kernel
-#: module of ``repro.resources``.  Values are dotted-module prefixes
-#: (matched at package boundaries, like rule scopes).
+#: Third-party imports pinned to specific modules.  Values are
+#: dotted-module prefixes (matched at package boundaries, like rule
+#: scopes).  ``numpy`` is pinned to no module: the profile algebra is
+#: pure Python in both arithmetic regimes, so no module may import it.
 THIRD_PARTY_PINS: Dict[str, Tuple[str, ...]] = {
-    "numpy": ("repro.resources._vectorized",),
+    "numpy": (),
 }
 
 _LAYER_INDEX: Dict[str, int] = {}
@@ -169,10 +167,11 @@ def third_party_pin_violation(
         for prefix in allowed
     ):
         return None
+    where = ", ".join(sorted(allowed)) or "no module"
     return (
-        f"import of {top} outside {{{', '.join(sorted(allowed))}}}: "
-        f"{top} is pinned to the inexact vector kernels so the exact "
-        "arithmetic path can never silently depend on it"
+        f"import of {top} outside the modules it is pinned to ({where}): "
+        "the profile algebra and everything above it must not silently "
+        f"depend on {top}"
     )
 
 

@@ -49,14 +49,6 @@ EXACT_MODULES: Tuple[str, ...] = (
     "repro.decision",
 )
 
-#: The sanctioned *inexact* enclave inside the exact-arithmetic
-#: substrate: the float64 vector kernels that serve profiles whose
-#: ``is_exact()`` is already false.  Float literals and float compares
-#: are that module's whole job, so the exactness rules carve it out —
-#: and the ``layering`` rule pins ``numpy`` imports to exactly here,
-#: so the carve-out cannot silently widen.
-INEXACT_KERNELS: Tuple[str, ...] = ("repro.resources._vectorized",)
-
 #: Wall-clock and CPU-clock reads.  ``registry.now()`` (observability)
 #: is the sanctioned route for *timing* because its readings never feed
 #: back into simulated state.
@@ -321,10 +313,9 @@ class FloatLiteralRule(Rule):
         "no float literals in exact-arithmetic modules (resources, "
         "decision): Theorems 1-4 run on int/Fraction; the only sanctioned "
         "float is the EPSILON tolerance boundary next to is_exact() and "
-        "the float64 vector kernels (the declared inexact path)"
+        "the float-form zero beside it"
     )
     scope = EXACT_MODULES
-    exempt = INEXACT_KERNELS
 
     def check(self, source: SourceFile) -> Iterable[Finding]:
         for node in ast.walk(source.tree):
@@ -361,7 +352,6 @@ class FloatCompareRule(Rule):
         "roulette — compare exact values, or test a tolerance explicitly"
     )
     scope = EXACT_MODULES
-    exempt = INEXACT_KERNELS
 
     def check(self, source: SourceFile) -> Iterable[Finding]:
         for node in ast.walk(source.tree):

@@ -44,35 +44,30 @@ the slack has grown.  The naive implementations are retained below as
 small-integer enumerations, and ``benchmarks/bench_profile_ops.py``
 tracks the speedup and the per-admission latency curve.
 
-Two arithmetic regimes share that surface.  **Exact** profiles (every
-coordinate int/Fraction) stay on the scalar fast path above — the
-correctness oracle chain (`_reference_*` -> scalar fast path) is never
-perturbed by vectorization.  **Inexact** profiles (``is_exact()`` false
-for some coordinate) compute in float64 whenever every coordinate is
-losslessly float64-representable.  A ``+`` or ``subtract`` with a
-finite-support operand is spliced as above, on operands in *float form*
-(every coordinate a Python ``float``): Python float arithmetic is
-IEEE-754 double arithmetic, so the result is exactly what the numpy
-kernels in :mod:`repro.resources._vectorized` would return for the
-whole profiles, tolerance snapping, error messages and all
-(``tests/test_profile_splice.py``).  A profile is in float form by
-construction when a splice or a kernel made it, and is converted at
-most once otherwise.  The full merges (``saturating_sub``, ``cap``,
-``dominates``, ``sum``, ``from_segments``, operands of infinite
-support) batch onto the numpy kernels, which reproduce the scalar float
-path's IEEE-754 operation order bit-for-bit (differentially fuzzed in
-``tests/test_profile_differential.py``).  Neither a query nor the
-choice to splice builds the float64 arrays.  One visible
-canonicalization on both float paths: results carry float coordinates,
-so an int that rode along in an inexact profile comes back as the equal
-float (``2 -> 2.0``).
+Two arithmetic regimes share that one implementation.  **Exact**
+profiles (every coordinate int/Fraction) compute exactly.  An **inexact**
+operation (``is_exact()`` false for some coordinate) whose operands are
+all losslessly float64-representable runs the same code on operands in
+*float form*: every coordinate a Python ``float``.  Python float
+arithmetic is IEEE-754 double arithmetic, so each result rounds once
+per elementwise step in the order the code takes it — sums fold left to
+right, as the pairwise ``+`` definition does — and the differential
+fuzz (``tests/test_profile_differential.py``) pins it to the oracles.  A
+profile is in float form by construction when an inexact operation made
+it, and is converted at most once otherwise.  Inexact operands that are
+not float64-safe (a Fraction beside a float, an int past ``2**53``) run
+the same code on their own coordinates.  Queries never convert: they
+answer on the profile's own coordinates, so a result never depends on
+what ran before.  One visible canonicalization: the results of inexact
+float64-safe operations carry float coordinates, so an int that rode
+along comes back as the equal float (``2 -> 2.0``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from operator import itemgetter
 from numbers import Rational
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -80,14 +75,13 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import InvalidTermError, UndefinedOperationError
 from repro.intervals.interval import Interval, Time
 from repro.intervals.intervalset import IntervalSet
-from repro.resources import _vectorized as _vec
 
 #: Tolerance used when float arithmetic is involved.  Exact numeric types
 #: (int, Fraction) never need it.
 EPSILON = 1e-9  # repro-lint: disable=float-literal -- the sanctioned float-tolerance boundary itself (see is_exact below)
 
-#: The zero of the float regime: the rate the float64 kernels read before
-#: a profile's first breakpoint, and the value float dust snaps to.
+#: The zero of float form: the rate before a float-form profile's first
+#: breakpoint, and the value float dust snaps to.
 _FLOAT_ZERO = 0.0  # repro-lint: disable=float-literal -- the float regime's zero, used only where a float has entered
 
 
@@ -98,7 +92,26 @@ def is_exact(value: object) -> bool:
     them can misclassify a genuinely positive residue as zero.  Tolerance
     belongs only where a float has entered the computation.
     """
-    return isinstance(value, Rational)
+    # The int test first spares the common case the ABC check.
+    return type(value) is int or isinstance(value, Rational)
+
+
+#: Largest integer magnitude exactly representable in float64.
+_MAX_SAFE_INT = 2 ** 53
+
+
+def coordinate_safe(value: object) -> bool:
+    """Whether ``value`` converts to float64 without losing information."""
+    if type(value) is float:
+        return not math.isnan(value)
+    if type(value) is int:
+        return -_MAX_SAFE_INT <= value <= _MAX_SAFE_INT
+    return False
+
+
+def points_safe(points: Iterable[Tuple[object, object]]) -> bool:
+    """Whether every breakpoint coordinate is float64-representable."""
+    return all(coordinate_safe(t) and coordinate_safe(r) for t, r in points)
 
 
 def exact_div(numerator: Time, denominator: Time) -> Time:
@@ -169,56 +182,29 @@ def _validate(points: Iterable[Tuple[Time, Time]]) -> None:
 class RateProfile:
     """An immutable, piecewise-constant, non-negative function of time."""
 
-    __slots__ = (
-        "_pts", "_times", "_cum", "_exact", "_vt", "_vr", "_vok", "_rl", "_flt"
-    )
+    __slots__ = ("_points", "_times", "_cum", "_exact", "_rl", "_flt")
 
     def __init__(self, points: Iterable[Tuple[Time, Time]] = ()) -> None:
         pts = _normalise(points)
         _validate(pts)
-        self._pts: Optional[tuple] = pts
+        self._points: tuple[Tuple[Time, Time], ...] = pts
         self._times: Optional[list] = None
         self._cum: Optional[list] = None
         self._exact: Optional[bool] = None
-        self._vt = None
-        self._vr = None
-        self._vok: Optional[bool] = None
         self._rl: Optional[list] = None
         self._flt = None  # see _float_form
 
-    @property
-    def _points(self) -> tuple[Tuple[Time, Time], ...]:
-        """Canonical breakpoint tuples.
-
-        Vec-built profiles carry their breakpoints as float64 arrays and
-        materialize the tuples only when something actually needs them
-        (equality, pickling, a splice, the scalar fallbacks)."""
-        pts = self._pts
-        if pts is None:
-            pts = tuple(zip(self._vt.tolist(), self._vr.tolist()))
-            self._pts = pts
-        return pts
-
     def _rates(self) -> list:
-        """Rates by breakpoint position, built lazily (vec-built
-        profiles read straight off the rate array)."""
+        """Rates by breakpoint position, built lazily."""
         rl = self._rl
         if rl is None:
-            if self._pts is None:
-                rl = self._vr.tolist()
-            else:
-                rl = [r for _, r in self._pts]
-            self._rl = rl
+            rl = self._rl = [r for _, r in self._points]
         return rl
 
     def _ensure_index(self) -> None:
-        """Build the breakpoint times for bisection on first use (off
-        the float64 array for vec-built profiles)."""
+        """Build the breakpoint times for bisection on first use."""
         if self._times is None:
-            if self._pts is None:
-                self._times = self._vt.tolist()
-            else:
-                self._times = [t for t, _ in self._pts]
+            self._times = [t for t, _ in self._points]
 
     def _is_exact(self) -> bool:
         """Whether every coordinate is exact (so cumulative differences
@@ -227,23 +213,24 @@ class RateProfile:
         scanned once."""
         exact = self._exact
         if exact is None:
-            exact = all(is_exact(t) and is_exact(r) for t, r in self._pts)
+            exact = all(is_exact(t) and is_exact(r) for t, r in self._points)
             self._exact = exact
         return exact
 
     def _float_form(self) -> Optional["RateProfile"]:
         """This profile with every coordinate a Python ``float``, the
-        form the float64 kernels return (``2 -> 2.0``), or ``None`` when
-        some coordinate is not float64-safe.
+        form inexact operations compute in (``2 -> 2.0``), or ``None``
+        when some coordinate is not float64-safe.
 
         ``_flt`` is ``True`` when the profile is in float form (known by
-        construction for kernel and float-splice results), ``False``
-        when it cannot be, or the converted twin.  Any other profile is
-        scanned and converted once, on its first float splice."""
+        construction for the results of float-form operations),
+        ``False`` when it cannot be, or the converted twin.  Any other
+        profile is scanned and converted once, on its first inexact
+        operation."""
         form = self._flt
         if form is None:
             pts = self._points
-            if not _vec.points_safe(pts):
+            if not points_safe(pts):
                 form = False
             elif all(type(t) is float and type(r) is float for t, r in pts):
                 form = True
@@ -262,68 +249,13 @@ class RateProfile:
 
     def _finite(self) -> bool:
         """Whether the rate is 0 past the last breakpoint (finite
-        support, as every schedule claim has).  Non-zero profiles only;
-        vec-built ones are read off the rate array."""
-        pts = self._pts
-        if pts is None:
-            return bool(self._vr[-1] == 0)
-        return pts[-1][1] == 0
+        support, as every schedule claim has).  Non-zero profiles only."""
+        return self._points[-1][1] == 0
 
     @property
     def breakpoint_count(self) -> int:
-        """Number of breakpoints, read off the array for vec-built
-        profiles (the tuples are not materialised)."""
-        pts = self._pts
-        return len(pts) if pts is not None else len(self._vt)
-
-    def _vector_index(self):
-        """Float64 ``(times, rates)`` arrays for the vectorized kernels,
-        or ``None`` when the profile is not losslessly representable
-        (Fraction coordinates, huge ints) or numpy is unavailable."""
-        if self._vok is None:
-            if _vec.HAVE_NUMPY and _vec.points_safe(self._points):
-                self._vt, self._vr = _vec.arrays_from_points(self._points)
-                self._vok = True
-            else:
-                self._vok = False
-        return (self._vt, self._vr) if self._vok else None
-
-    def _vector_pair(self, other: "RateProfile"):
-        """Operand arrays for a vectorized binary op, or ``None`` when
-        the op must stay scalar.  Vectorization is auto-selected only
-        when the operation is inexact — both operands exact means the
-        scalar fast path (the reference-pinned oracle chain) answers."""
-        if self._is_exact() and other._is_exact():
-            return None
-        va = self._vector_index()
-        if va is None:
-            return None
-        vb = other._vector_index()
-        if vb is None:
-            return None
-        return va, vb
-
-    @classmethod
-    def _from_float_arrays(cls, times, rates) -> "RateProfile":
-        """Adopt normalised float64 arrays as a profile.
-
-        Vec-kernel results only: the arrays are already sorted, unique
-        in time, rate-merged, and validated, so construction skips
-        ``_normalise`` and pre-seeds both the scalar index and the
-        vector index."""
-        if len(times) == 0:
-            return _ZERO
-        profile = cls.__new__(cls)
-        profile._pts = None  # materialized on demand from the arrays
-        profile._times = None
-        profile._cum = None  # only consulted on the exact path
-        profile._exact = False
-        profile._vt = times
-        profile._vr = rates
-        profile._vok = True
-        profile._rl = None
-        profile._flt = True
-        return profile
+        """Number of breakpoints."""
+        return len(self._points)
 
     @classmethod
     def _adopt(
@@ -342,22 +274,19 @@ class RateProfile:
         if not pts:
             return _ZERO
         profile = cls.__new__(cls)
-        profile._pts = pts
+        profile._points = pts
         profile._times = times
         profile._cum = None
         profile._exact = exact
-        profile._vt = None
-        profile._vr = None
-        profile._vok = None
         profile._rl = rates
         profile._flt = True if floats else None
         return profile
 
     def __reduce__(self):
-        # Serialize the canonical breakpoints only: the lazy scalar and
-        # vector indexes are caches, rebuilt on demand after unpickling
-        # (keeps checkpoint payloads small and independent of which
-        # queries happened to run before the snapshot).
+        # Serialize the canonical breakpoints only: the lazy index and
+        # the float-form twin are caches, rebuilt on demand after
+        # unpickling (keeps checkpoint payloads small and independent of
+        # which queries happened to run before the snapshot).
         return (RateProfile, (self._points,))
 
     # ------------------------------------------------------------------
@@ -376,52 +305,58 @@ class RateProfile:
     def from_segments(cls, segments: Iterable[Tuple[Interval, Time]]) -> "RateProfile":
         """Sum of constant segments (overlaps add, as in simplification).
 
-        Equivalent to folding :meth:`constant` profiles through ``+`` but
-        built by a single breakpoint sweep, so aggregating ``n`` segments
-        is ``O(n log n)`` instead of quadratic repeated addition.
+        Equivalent to folding :meth:`constant` profiles through ``+``,
+        but built by one sweep over the segments' start and end events:
+        at each breaktime the rates of the live segments fold left to
+        right in segment order, as the ``+`` fold adds them, so float
+        results do not drift from it.  ``n`` segments cost
+        ``O(n log n)`` plus the live segments summed at each breaktime.
         """
         live: list[Tuple[Time, Time, Time]] = []  # (start, end, rate)
-        exact = True
         for window, rate in segments:
             if window.is_empty or rate == 0:
                 continue
             if rate < 0 or (isinstance(rate, float) and math.isnan(rate)):
                 # Match the validation the constant()-fold performed.
                 return _reference_from_segments([(window, rate)])
-            if not (is_exact(rate) and is_exact(window.start) and is_exact(window.end)):
-                exact = False
             live.append((window.start, window.end, rate))
         if not live:
             return _ZERO
-        if not exact:
-            if _vec.HAVE_NUMPY and all(
-                _vec.coordinate_safe(start)
-                and _vec.coordinate_safe(end)
-                and _vec.coordinate_safe(rate)
-                for start, end, rate in live
-            ):
-                return cls._from_float_arrays(*_vec.from_segments(live))
-            # Float rates: per-breakpoint left-fold keeps bit-identical
-            # results with the repeated-addition definition.
-            return cls.sum(
-                cls.constant(rate, Interval(start, end)) for start, end, rate in live
-            )
-        events: list[Tuple[Time, Time]] = []
-        for start, end, rate in live:
-            events.append((start, rate))
+        exact = all(is_exact(c) for segment in live for c in segment)
+        floats = not exact and all(
+            coordinate_safe(c) for segment in live for c in segment
+        )
+        zero: Time = 0
+        if floats:
+            live = [(float(s), float(e), float(r)) for s, e, r in live]
+            zero = _FLOAT_ZERO
+        events: list[Tuple[Time, int]] = []  # (time, k) starts, (time, ~k) ends
+        for k, (start, end, _) in enumerate(live):
+            events.append((start, k))
             if not math.isinf(end):
-                events.append((end, -rate))
-        events.sort(key=lambda e: e[0])
+                events.append((end, ~k))
+        events.sort(key=_time_of)
+        rates = [rate for _, _, rate in live]
+        active: list[int] = []  # live segments, in segment order
         points: list[Tuple[Time, Time]] = []
-        level: Time = 0
-        index, count = 0, len(events)
-        while index < count:
-            t = events[index][0]
-            while index < count and events[index][0] == t:
-                level = level + events[index][1]
-                index += 1
-            points.append((t, level))
-        return cls._adopt(tuple(_merge_runs(points)), True)
+
+        def fold() -> Time:
+            level = zero
+            for k in active:
+                level = level + rates[k]
+            return level
+
+        t_prev = events[0][0]
+        for t, k in events:
+            if t != t_prev:
+                points.append((t_prev, fold()))
+                t_prev = t
+            if k >= 0:
+                insort(active, k)
+            else:
+                del active[bisect_left(active, ~k)]
+        points.append((t_prev, fold()))
+        return cls._adopt(tuple(_merge_runs(points)), exact, floats=floats)
 
     @classmethod
     def sum(cls, profiles: Iterable["RateProfile"]) -> "RateProfile":
@@ -438,13 +373,15 @@ class RateProfile:
         if len(live) == 1:
             return live[0]
         exact = all(p._is_exact() for p in live)
+        floats = False
+        zero: Time = 0
         if not exact:
-            arrays = [p._vector_index() for p in live]
-            if all(a is not None for a in arrays):
-                return cls._from_float_arrays(*_vec.sum_profiles(arrays))
+            forms = [p._float_form() for p in live]
+            if all(form is not None for form in forms):
+                live, floats, zero = forms, True, _FLOAT_ZERO
         point_lists = [p._points for p in live]
         times = sorted({t for pts in point_lists for t, _ in pts})
-        rates: list[Time] = [0] * len(live)
+        rates: list[Time] = [zero] * len(live)
         cursors = [0] * len(live)
         points: list[Tuple[Time, Time]] = []
         for t in times:
@@ -454,11 +391,11 @@ class RateProfile:
                     rates[k] = pts[i][1]
                     i += 1
                 cursors[k] = i
-            level: Time = 0
+            level = zero
             for rate in rates:
                 level = level + rate
             points.append((t, level))
-        return cls._adopt(tuple(_merge_runs(points)), exact)
+        return cls._adopt(tuple(_merge_runs(points)), exact, floats=floats)
 
     @classmethod
     def zero(cls) -> "RateProfile":
@@ -474,10 +411,7 @@ class RateProfile:
 
     @property
     def is_zero(self) -> bool:
-        pts = self._pts
-        if pts is None:
-            return False  # vec-built profiles are never empty
-        return not pts
+        return not self._points
 
     def rate_at(self, t: Time) -> Time:
         """The rate in effect at time ``t`` (``O(log n)``)."""
@@ -488,21 +422,7 @@ class RateProfile:
         return self._rates()[i] if i >= 0 else 0
 
     def rates_at(self, ts: Sequence[Time]) -> List[Time]:
-        """Batch :meth:`rate_at`: the rate in effect at each query time.
-
-        One vectorized bisection over all queries when the profile
-        already carries float64 arrays and the query times are
-        float64-safe; the results are the stored rate objects either
-        way, identical to mapping :meth:`rate_at`.
-        """
-        if self.is_zero:
-            return [0] * len(ts)
-        if self._vok and all(_vec.coordinate_safe(t) for t in ts):
-            rates = self._rates()
-            return [
-                rates[i] if i >= 0 else 0
-                for i in _vec.rate_indices((self._vt, self._vr), ts).tolist()
-            ]
+        """Batch :meth:`rate_at`: the rate in effect at each query time."""
         return [self.rate_at(t) for t in ts]
 
     def segments(self) -> Iterator[Tuple[Interval, Time]]:
@@ -527,10 +447,8 @@ class RateProfile:
     def horizon(self) -> Time:
         """Last breakpoint time (0 for the zero profile).  Past the
         horizon the rate is constant (usually zero)."""
-        pts = self._pts
-        if pts is not None:
-            return pts[-1][0] if pts else 0
-        return self._vt[-1].item()  # vec-built: never empty
+        pts = self._points
+        return pts[-1][0] if pts else 0
 
     @property
     def peak_rate(self) -> Time:
@@ -543,7 +461,7 @@ class RateProfile:
         built on first use."""
         times, cum = self._times, self._cum
         if cum is None:
-            pts = self._pts
+            pts = self._points
             cum = [0] * len(pts)
             for i in range(1, len(pts)):
                 t_prev, r_prev = pts[i - 1]
@@ -563,8 +481,7 @@ class RateProfile:
 
         Exact profiles answer in ``O(log n)`` from the cumulative-integral
         array; others run a bisected segment scan that reproduces the
-        reference summation order bit-for-bit, on the float64 arrays
-        when the profile already carries them (no query builds them).
+        reference summation order bit-for-bit.
         """
         if window.is_empty or self.is_zero:
             return 0
@@ -572,8 +489,6 @@ class RateProfile:
         start, end = window.start, window.end
         if self._is_exact() and is_exact(start) and is_exact(end):
             return self._cumulative(end) - self._cumulative(start)
-        if self._vok and _vec.coordinate_safe(start) and _vec.coordinate_safe(end):
-            return _vec.integral((self._vt, self._vr), start, end)
         times = self._times
         rates = self._rates()
         lo = bisect_right(times, start) - 1
@@ -734,6 +649,7 @@ class RateProfile:
         combine,
         exact: bool,
         narrow: Optional["RateProfile"] = None,
+        floats: bool = False,
     ) -> "RateProfile":
         """The profile with rate ``combine(t, self_rate, other_rate)``,
         from one merge of the breakpoints.
@@ -744,9 +660,8 @@ class RateProfile:
         and after it are copied verbatim, and so are its times and rates
         index when built.  Without ``narrow`` everything is merged.
 
-        An inexact splice runs on float-form operands (see
-        :meth:`_spliced`) and yields a float-form result."""
-        floats = narrow is not None and not exact
+        ``floats`` marks float-form operands (see :meth:`_spliced`),
+        which yield a float-form result."""
         if narrow is None:
             wide, lo, hi = self, 0, len(self._points)
             span = None
@@ -789,26 +704,28 @@ class RateProfile:
         self,
         other: "RateProfile",
         combine,
-        narrow: "RateProfile",
+        narrow: Optional["RateProfile"] = None,
         floats: bool = True,
-    ) -> Optional["RateProfile"]:
-        """:meth:`_combine` over the span of ``narrow`` (one of the
-        operands, with finite support) only, or ``None`` when the
-        operands are neither both exact nor — ``floats`` permitting —
-        both float64-safe.
+    ) -> "RateProfile":
+        """:meth:`_combine` in the operands' arithmetic regime, merging
+        only the span of ``narrow`` (one of the operands, with finite
+        support) when given.
 
-        Inexact operands are merged in float form, so every coordinate
-        is the Python ``float`` the float64 kernels would return: Python
-        float arithmetic is IEEE-754 double arithmetic, and ``combine``
-        is elementwise, so the spliced result equals the kernel's."""
+        Exact operands combine exactly.  Inexact ones combine in float
+        form when ``floats`` permits and both are float64-safe: every
+        coordinate is then a Python ``float``, and ``combine`` is
+        elementwise, so each result rate is one IEEE-754 operation on
+        the two operand rates.  Any other pair merges whole, on its own
+        coordinates."""
         if self._is_exact() and other._is_exact():
             return self._combine(other, combine, True, narrow)
-        if not floats:
-            return None
-        a, b = self._float_form(), other._float_form()
-        if a is None or b is None:
-            return None
-        return a._combine(b, combine, False, b if narrow is other else a)
+        if floats:
+            a, b = self._float_form(), other._float_form()
+            if a is not None and b is not None:
+                if narrow is not None:
+                    narrow = b if narrow is other else a
+                return a._combine(b, combine, False, narrow, floats=True)
+        return self._combine(other, combine, False)
 
     def __add__(self, other: "RateProfile") -> "RateProfile":
         if self.is_zero:
@@ -824,16 +741,7 @@ class RateProfile:
             narrow = other
         elif self._finite():
             narrow = self
-        if narrow is not None:
-            spliced = self._spliced(other, _add_rates, narrow)
-            if spliced is not None:
-                return spliced
-        pair = self._vector_pair(other)
-        if pair is not None:
-            return RateProfile._from_float_arrays(*_vec.add(*pair))
-        return self._combine(
-            other, _add_rates, self._is_exact() and other._is_exact()
-        )
+        return self._spliced(other, _add_rates, narrow)
 
     def subtract(self, other: "RateProfile", *, tolerance: float = EPSILON) -> "RateProfile":
         """Pointwise subtraction; raises when the result would go negative.
@@ -857,32 +765,18 @@ class RateProfile:
                 )
             return value
 
-        # Inexact operands go to float64 (spliced or vectorized) only
-        # under a sub-unit tolerance: integer-valued differences are
-        # exact for the scalar path (they raise however small), and any
-        # |diff| >= 1 also exceeds a sub-unit tolerance, so float64
-        # cannot mistake one for snappable dust.
-        floats = tolerance < 1
-        if other._finite():
-            # Outside a finite-support subtrahend's span it is 0, so
-            # nothing there can go negative and the minuend carries over.
-            spliced = self._spliced(other, difference, other, floats)
-            if spliced is not None:
-                return spliced
-        pair = self._vector_pair(other) if floats else None
-        if pair is not None:
-            result = _vec.subtract(*pair, tolerance)
-            if result[0] == "negative":
-                _, t, ra, rb = result
-                raise UndefinedOperationError(
-                    f"subtraction would make the rate negative at t={t!r} "
-                    f"({ra!r} - {rb!r})"
-                )
-            if result[0] == "nan":
-                raise InvalidTermError("profile rate must not be NaN")
-            return RateProfile._from_float_arrays(result[1], result[2])
-        return self._combine(
-            other, difference, self._is_exact() and other._is_exact()
+        # Outside a finite-support subtrahend's span it is 0, so nothing
+        # there can go negative and the minuend carries over.  Inexact
+        # operands take float form only under a sub-unit tolerance:
+        # integer-valued differences are exact on their own coordinates
+        # (they raise however small), and any |diff| >= 1 also exceeds a
+        # sub-unit tolerance, so float form cannot mistake one for
+        # snappable dust.
+        return self._spliced(
+            other,
+            difference,
+            other if other._finite() else None,
+            tolerance < 1,
         )
 
     def __sub__(self, other: "RateProfile") -> "RateProfile":
@@ -898,14 +792,7 @@ class RateProfile:
         """
         if other.is_zero:
             return self
-        pair = self._vector_pair(other)
-        if pair is not None:
-            return RateProfile._from_float_arrays(*_vec.saturating_sub(*pair))
-        return self._combine(
-            other,
-            lambda t, ra, rb: max(0, ra - rb),
-            self._is_exact() and other._is_exact(),
-        )
+        return self._spliced(other, _clamped_difference)
 
     def scale(self, factor: Time) -> "RateProfile":
         """The profile with every rate multiplied by ``factor >= 0``."""
@@ -943,22 +830,12 @@ class RateProfile:
         """Pointwise minimum with another profile."""
         if self.is_zero or ceiling.is_zero:
             return _ZERO
-        pair = self._vector_pair(ceiling)
-        if pair is not None:
-            return RateProfile._from_float_arrays(*_vec.cap(*pair))
-        return self._combine(
-            ceiling,
-            lambda t, ra, rb: min(ra, rb),
-            self._is_exact() and ceiling._is_exact(),
-        )
+        return self._spliced(ceiling, lambda t, ra, rb: min(ra, rb))
 
     def dominates(self, other: "RateProfile") -> bool:
         """Pointwise ``self >= other`` everywhere."""
         if other.is_zero:
             return True
-        pair = self._vector_pair(other)
-        if pair is not None:
-            return _vec.dominates(*pair)
         for _, ra, rb in self._merged_rates(other):
             if ra < rb:
                 return False
@@ -988,6 +865,16 @@ _ZERO = RateProfile(())
 
 def _add_rates(t: Time, ra: Time, rb: Time) -> Time:
     return ra + rb
+
+
+def _clamped_difference(t: Time, ra: Time, rb: Time) -> Time:
+    """``max(0, ra - rb)`` with the zero in the difference's regime: an
+    inexact deficit clamps to ``0.0``, and so does ``inf - inf``'s NaN,
+    which compares false like any deficit."""
+    value = ra - rb
+    if value > 0:
+        return value
+    return 0 if is_exact(value) else _FLOAT_ZERO
 
 
 def profile_from_points(points: Sequence[Tuple[Time, Time]]) -> RateProfile:

@@ -168,7 +168,10 @@ def test_exactness_boundary_reports_float_reached_from_exact_module():
     assert "bare float literal at src/repro/logic/zblur.py:2" in findings[0].message
 
 
-def test_exactness_ignores_sanctioned_inexact_kernels():
+def test_exactness_has_no_kernel_carve_out():
+    """The float64 kernel module's exemption is gone: a float it reaches
+    outside the exact modules is reported at its boundary call, like
+    any other exact module's."""
     result = _flow({
         "src/repro/decision/zvec.py": (
             "from repro.resources._vectorized.zkernel import fast\n"
@@ -176,11 +179,19 @@ def test_exactness_ignores_sanctioned_inexact_kernels():
             "    return fast(3)\n"
         ),
         "src/repro/resources/_vectorized/zkernel.py": (
+            "from repro.logic.zblur import blur\n"
             "def fast(x):\n"
+            "    return blur(x)\n"
+        ),
+        "src/repro/logic/zblur.py": (
+            "def blur(x):\n"
             "    return x * 0.5\n"
         ),
     })
-    assert not [f for f in result.findings if f.rule == "flow-exactness"]
+    findings = [f for f in result.findings if f.rule == "flow-exactness"]
+    assert [f.path for f in findings] == [
+        "src/repro/resources/_vectorized/zkernel.py"
+    ]
 
 
 def test_real_tree_is_flow_clean():

@@ -61,7 +61,7 @@ FIXTURES = {
             "import random\nrng = random.Random(42)\n",
             "import random\n\ndef make(seed):\n    return random.Random(seed)\n",
             # a seeded numpy rng is fine for *this* rule, but the
-            # layering rule pins numpy imports to the vector kernels,
+            # layering rule pins numpy imports to no module,
             # so the clean-everywhere fixture sticks to stdlib random
             "import random\nrng = random.Random(7)\n",
         ],
@@ -238,10 +238,11 @@ def test_injected_wall_clock_in_simulator_is_caught():
 
 
 class TestThirdPartyPin:
-    """The layering rule pins ``numpy`` to the inexact vector kernels:
-    the exact Fraction path and the ``_reference_*`` oracles must never
-    silently acquire a numpy dependency."""
+    """The layering rule pins ``numpy`` to no module: the profile
+    algebra is pure Python, and nothing in ``src`` may silently acquire
+    a numpy dependency."""
 
+    #: Where the float64 kernels once lived: no carve-out survives.
     KERNEL_PATH = "src/repro/resources/_vectorized.py"
 
     def test_numpy_import_outside_kernels_is_flagged(self):
@@ -257,9 +258,10 @@ class TestThirdPartyPin:
                 for f in findings
             ), snippet
 
-    def test_numpy_import_inside_kernels_is_clean(self):
+    def test_numpy_import_is_flagged_in_every_module(self):
         findings = run("import numpy as _np\n", self.KERNEL_PATH)
-        assert findings == [], [f.render() for f in findings]
+        assert [f.rule for f in findings] == ["layering"]
+        assert "no module" in findings[0].message
 
     def test_pin_applies_beyond_the_resources_package(self):
         findings = run("import numpy\n", DET_PATH)
@@ -270,22 +272,16 @@ class TestThirdPartyPin:
 
         assert third_party_pin_violation("repro.system.sim", "itertools") is None
         message = third_party_pin_violation("repro.system.sim", "numpy")
-        assert message is not None and "_vectorized" in message
-        assert third_party_pin_violation(
-            "repro.resources._vectorized", "numpy"
-        ) is None
-        # Prefixes match at module boundaries, not as raw strings.
-        assert third_party_pin_violation(
-            "repro.resources._vectorized_extras", "numpy"
-        ) is not None
+        assert message is not None and "pinned" in message
+        assert third_party_pin_violation(None, "numpy") is not None
 
-    def test_float_rules_exempt_the_kernels(self):
-        """The exact-arithmetic rules scope to ``repro.resources`` but
-        carve out the float64 kernel module — floats are its job."""
+    def test_float_rules_cover_every_resources_module(self):
+        """The exact-arithmetic rules scope to all of ``repro.resources``:
+        the float64 kernel module's carve-out is gone with it."""
         snippet = "threshold = 0.5\n\ndef f(x):\n    return x == 0.5\n"
-        flagged = {f.rule for f in run(snippet, EXACT_PATH)}
-        assert {"float-literal", "float-compare"} <= flagged
-        assert run(snippet, self.KERNEL_PATH) == []
+        for path in (EXACT_PATH, self.KERNEL_PATH):
+            flagged = {f.rule for f in run(snippet, path)}
+            assert {"float-literal", "float-compare"} <= flagged, path
 
 
 class TestLayeringMap:

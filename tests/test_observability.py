@@ -539,7 +539,7 @@ class TestSlackBreakpointGauge:
             controller.add_resources(ResourceSet.of(term(1, cpu2, 0, 5)))
             assert self._series(registry, cpu2) == 2
 
-    def test_vec_built_slack_is_counted_without_materialising(self):
+    def test_slack_is_counted_after_a_revocation(self):
         from repro.decision import AdmissionController
         from repro.resources import ResourceSet, cpu, term
 
@@ -550,10 +550,10 @@ class TestSlackBreakpointGauge:
                 ResourceSet.of(term(4.0, cpu1, 0, 16))
             )
             assert controller.admit(self._requirement(cpu1, 6.0, 2, 8, "a"))
-            # The admission spliced its claim into the slack as tuples; a
-            # revocation is a full merge on the numpy kernels, which
-            # leaves the slack as float64 arrays.
+            admitted = self._series(registry, cpu1)
+            # A revocation is a full merge over the slack, not a splice;
+            # the gauge must follow it too.
             controller.revoke_resources(ResourceSet.of(term(1.0, cpu1, 12, 14)))
         profile = controller.expiring_slack.profile(cpu1)
-        assert profile._pts is None  # the gauge read the array length
+        assert self._series(registry, cpu1) == admitted + 2
         assert self._series(registry, cpu1) == len(profile.breakpoints)

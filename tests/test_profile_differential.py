@@ -1,8 +1,9 @@
 """Differential fuzzing of the profile fast paths against the oracles.
 
-The vectorized (numpy float64) inexact path and the scalar fast path
-must both be *indistinguishable* from the retained ``_reference_*``
-implementations — same breakpoints, same values, same exceptions — over
+The fast paths — exact, float form, and inexact operands that are not
+float64-safe — must all be *indistinguishable* from the retained
+``_reference_*`` implementations — same breakpoints, same values, same
+exceptions — over
 seeded random profiles that deliberately mix numeric types (int, float,
 Fraction) and force the historical trouble spots: coincident
 breakpoints, zero-width segments, window edges landing exactly on
@@ -23,18 +24,14 @@ regression tests below:
 
 from __future__ import annotations
 
-import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from repro.computation import ComplexRequirement, Demands
-from repro.decision import AdmissionController
 from repro.errors import InvalidTermError, UndefinedOperationError
 from repro.intervals import Interval
-from repro.resources import RateProfile, ResourceSet, cpu, term
-from repro.resources import _vectorized as _vec
+from repro.resources import RateProfile
 from repro.resources import profile as P
 
 TRIALS = 2500  # per generator family; seeds make failures reproducible
@@ -62,7 +59,7 @@ def _mixed_coord(rng):
 
 
 def _float_coord(rng):
-    """A float64-safe coordinate (keeps the vector kernels engaged)."""
+    """A float64-safe coordinate (keeps the float-form path engaged)."""
     c = rng.randint(0, 2)
     if c == 0:
         return float(rng.randint(0, 8))
@@ -133,6 +130,23 @@ def _subtract_outcome(fn):
         return ("raise", type(exc).__name__)
 
 
+def _is_float_safe(profile):
+    return P.points_safe(profile.breakpoints)
+
+
+def _assert_coordinate_types(result, *operands):
+    """No kernel enforces float form any more, so the fuzz does: an
+    inexact operation on float64-safe operands returns every coordinate
+    as a ``float``, and an exact one returns none."""
+    if result.is_zero:
+        return
+    coords = [v for pt in result.breakpoints for v in pt]
+    if all(op._is_exact() for op in operands):
+        assert all(P.is_exact(v) for v in coords), (operands, result)
+    elif all(_is_float_safe(op) for op in operands):
+        assert all(type(v) is float for v in coords), (operands, result)
+
+
 # ----------------------------------------------------------------------
 # The differential sweep
 # ----------------------------------------------------------------------
@@ -143,17 +157,27 @@ def test_binary_ops_match_reference(family):
     rng = random.Random(20260808)
     for _ in range(TRIALS):
         a, b = _profile(rng, coord), _profile(rng, coord)
-        assert (a + b) == P._reference_add(a, b), (a, b)
-        assert a.cap(b) == _oracle_cap(a, b), (a, b)
-        assert a.saturating_sub(b) == _oracle_saturating_sub(a, b), (a, b)
+        total = a + b
+        assert total == P._reference_add(a, b), (a, b)
+        if not (a.is_zero or b.is_zero):  # ``+`` returns the other operand
+            _assert_coordinate_types(total, a, b)
+        capped = a.cap(b)
+        assert capped == _oracle_cap(a, b), (a, b)
+        _assert_coordinate_types(capped, a, b)
+        clamped = a.saturating_sub(b)
+        assert clamped == _oracle_saturating_sub(a, b), (a, b)
+        if not b.is_zero:  # subtracting zero returns the minuend
+            _assert_coordinate_types(clamped, a, b)
         assert a.dominates(b) == _oracle_dominates(a, b), (a, b)
         fast = _subtract_outcome(lambda: a.subtract(b))
         ref = _subtract_outcome(lambda: P._reference_subtract(a, b))
-        # Exception *parity* is part of the contract: the vector path
-        # must raise exactly when the scalar reference raises.
+        # Exception *parity* is part of the contract: the float-form
+        # path must raise exactly when the reference raises.
         assert fast[0] == ref[0], (a, b, fast, ref)
         if fast[0] == "ok":
             assert fast[1] == ref[1], (a, b)
+            if not b.is_zero:
+                _assert_coordinate_types(a.subtract(b), a, b)
 
 
 @pytest.mark.parametrize("family", sorted(GENERATORS))
@@ -183,43 +207,20 @@ def test_aggregation_matches_reference(family):
         expected = RateProfile.zero()
         for p in profiles:
             expected = P._reference_add(expected, p)
-        assert RateProfile.sum(profiles) == expected, profiles
+        total = RateProfile.sum(profiles)
+        assert total == expected, profiles
+        if sum(not p.is_zero for p in profiles) > 1:  # else an operand
+            _assert_coordinate_types(total, *profiles)
         segments = []
         for _ in range(rng.randint(1, 5)):
             w = _window(rng, coord)
             if not w.is_empty:
                 segments.append((w, abs(coord(rng))))
-        assert RateProfile.from_segments(segments) == (
-            P._reference_from_segments(segments)
-        ), segments
-
-
-def test_vector_path_actually_engages():
-    """All-float operands must take the vector path (result is lazily
-    materialized, ``_pts is None``) — guards against a silent fallback
-    that would make the differential suite vacuous."""
-    if not _vec.HAVE_NUMPY:
-        pytest.skip("numpy unavailable; scalar fallback is the only path")
-    a = RateProfile([(0.0, 1.5), (2.0, 3.5)])
-    b = RateProfile([(1.0, 0.5)])
-    assert (a + b)._pts is None
-    assert a.cap(b)._pts is None
-    assert a.subtract(b)._pts is None
-    # Exact operands must never touch the kernels.
-    c = RateProfile([(0, 1), (2, Fraction(7, 2))])
-    d = RateProfile([(1, 1)])
-    assert (c + d)._pts is not None
-    assert all(P.is_exact(v) for pt in (c + d)._points for v in pt)
-
-
-def test_vector_built_profiles_pickle_and_compare():
-    a = RateProfile([(0.0, 1.5), (2.0, 3.5)])
-    b = RateProfile([(1.0, 0.5)])
-    s = a + b
-    clone = pickle.loads(pickle.dumps(s))
-    assert clone == s
-    assert clone._points == s._points
-    assert hash(clone) == hash(s)
+        aggregate = RateProfile.from_segments(segments)
+        assert aggregate == P._reference_from_segments(segments), segments
+        _assert_coordinate_types(aggregate, *(
+            RateProfile([(w.start, rate), (w.end, 0)]) for w, rate in segments
+        ))
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +234,22 @@ def test_integral_tie_break_at_mixed_type_window_edge():
     a = RateProfile([(1, 1.9522662677165377), (3.3181644759687963, 7)])
     w = Interval(1.0, Fraction(4, 3))
     assert a.integral(w) == P._reference_integral(a, w)
+
+
+def test_integral_type_does_not_depend_on_earlier_merges():
+    """A query answers on the profile's own coordinates: merges that
+    read the profile earlier in the process must not change the type
+    (or value) of a later answer."""
+    b = RateProfile([(6, 8), (7, 0.0)])
+    window = Interval(5.5, 11.5)
+    before = b.integral(window)
+    RateProfile([(0, 1.5)]).saturating_sub(b)
+    RateProfile([(0, 1.5)]).cap(b)
+    assert b.dominates(RateProfile([(6, 1.5), (7, 0)]))
+    after = b.integral(window)
+    assert after == before == 8
+    assert type(after) is type(before)
+    assert b.rates_at([6.5, 7]) == [8, 0.0]
 
 
 def test_reference_min_rate_coverage_has_no_float_dust():
@@ -275,42 +292,3 @@ def test_subtract_epsilon_dust_is_snapped_only_when_inexact():
     exact_over = RateProfile([(0, Fraction(1) + Fraction(1, 10 ** 12))])
     with pytest.raises(UndefinedOperationError):
         RateProfile([(0, 1)]).subtract(exact_over)
-
-
-# ----------------------------------------------------------------------
-# End-to-end: admission decisions are path-independent
-# ----------------------------------------------------------------------
-
-def _float_arrivals(count, horizon, seed=11):
-    rng = random.Random(seed)
-    out = []
-    for index in range(count):
-        start = float(rng.randrange(0, horizon - 12))
-        out.append(
-            ComplexRequirement(
-                [Demands({cpu("l1"): float(rng.randrange(1, 4))})],
-                Interval(start, start + float(rng.randrange(6, 14))),
-                label=f"job{index}",
-            )
-        )
-    return out
-
-
-def _decide(arrivals, horizon):
-    available = ResourceSet.of(term(1.0, cpu("l1"), 0.0, float(horizon)))
-    controller = AdmissionController(available)
-    return [controller.admit(req).admitted for req in arrivals]
-
-
-def test_admission_decisions_identical_with_and_without_numpy(monkeypatch):
-    """The whole point of the bit-identity contract: a float workload
-    decided on the vector kernels and re-decided with numpy disabled
-    (pure scalar path) must produce the same accept/reject sequence."""
-    if not _vec.HAVE_NUMPY:
-        pytest.skip("numpy unavailable; both runs would be scalar")
-    arrivals = _float_arrivals(80, 200)
-    vectored = _decide(arrivals, 200)
-    monkeypatch.setattr(_vec, "HAVE_NUMPY", False)
-    scalar = _decide(arrivals, 200)
-    assert vectored == scalar
-    assert any(vectored) and not all(vectored)  # workload actually bites

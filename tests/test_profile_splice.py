@@ -10,12 +10,11 @@ construction, the spliced times/rates index, and the lazily built
 cumulative-integral array.
 
 Float64-safe inexact operands take the same splice in float form.  There
-the spliced result must be exactly what the numpy kernels
-(``_vectorized.add`` / ``_vectorized.subtract``) return for the whole
-profiles: the same breakpoints with every coordinate a ``float``, the
-same exceptions and messages — pinned over an exhaustive dyadic-float
-enumeration, where every sum is exact in binary so the reference oracles
-agree too.
+the spliced result must be exactly what the whole-operand float-form
+merge (``_combine`` without ``narrow``) returns: the same breakpoints
+with every coordinate a ``float``, the same exceptions and messages —
+pinned over an exhaustive dyadic-float enumeration, where every sum is
+exact in binary so the reference oracles agree too.
 """
 
 from __future__ import annotations
@@ -29,9 +28,9 @@ import pytest
 from repro.errors import InvalidTermError, UndefinedOperationError
 from repro.intervals import Interval
 from repro.resources import RateProfile
-from repro.resources import _vectorized as _vec
 from repro.resources.profile import (
     EPSILON,
+    _add_rates,
     _reference_add,
     _reference_integral,
     _reference_subtract,
@@ -275,7 +274,7 @@ class TestLazyIndex:
 
 
 # ----------------------------------------------------------------------
-# Float splice: bit-identical to the numpy kernels
+# Float splice: bit-identical to the whole-operand float-form merge
 # ----------------------------------------------------------------------
 
 FLOAT_WIDE_TIMES = (0.0, 0.5, 1.5, 2.0)
@@ -299,36 +298,48 @@ FLOAT_CLAIMS = tuple(claims(FLOAT_CLAIM_TIMES, FLOAT_CLAIM_RATES)) + (
 
 
 def _fresh(profile: RateProfile) -> RateProfile:
-    """An unindexed copy, so kernel expectations build no arrays on the
-    operands under test."""
+    """An uncached copy, so expectations convert no operand under test."""
     return RateProfile(profile.breakpoints)
 
 
-def _kernel_add(left, right):
-    arrays = _fresh(left)._vector_index(), _fresh(right)._vector_index()
-    return RateProfile._from_float_arrays(*_vec.add(*arrays))
+def _whole(left, right, combine):
+    """The whole-operand float-form merge (``narrow=None``) of fresh
+    copies: what the splice must reproduce breakpoint for breakpoint."""
+    a, b = _fresh(left)._float_form(), _fresh(right)._float_form()
+    return a._combine(b, combine, False, floats=True)
 
 
-def _kernel_subtract(left, right, tolerance=EPSILON):
-    """The kernel's outcome: the profile, or the exception it maps to."""
-    arrays = _fresh(left)._vector_index(), _fresh(right)._vector_index()
-    result = _vec.subtract(*arrays, tolerance)
-    if result[0] == "negative":
-        _, t, ra, rb = result
-        return UndefinedOperationError(
-            f"subtraction would make the rate negative at t={t!r} "
-            f"({ra!r} - {rb!r})"
-        )
-    if result[0] == "nan":
-        return InvalidTermError("profile rate must not be NaN")
-    return RateProfile._from_float_arrays(result[1], result[2])
+def _whole_add(left, right):
+    return _whole(left, right, _add_rates)
+
+
+def _whole_subtract(left, right, tolerance=EPSILON):
+    """The whole merge's outcome under ``subtract``'s contract: the
+    profile, or the exception it raises."""
+
+    def difference(t, ra, rb):
+        value = ra - rb
+        if value < 0:
+            if -value <= tolerance:
+                return 0.0
+            raise UndefinedOperationError(
+                f"subtraction would make the rate negative at t={t!r} "
+                f"({ra!r} - {rb!r})"
+            )
+        return value
+
+    try:
+        return _whole(left, right, difference)
+    except (UndefinedOperationError, InvalidTermError) as exc:
+        return exc
 
 
 def _assert_float_form(profile: RateProfile) -> None:
     assert all(
         type(t) is float and type(r) is float for t, r in profile.breakpoints
     ), profile.breakpoints
-    assert profile._vt is None and profile._vok is None  # no arrays built
+    # Known by construction, never rescanned (the zero profile is shared).
+    assert profile.is_zero or profile._flt is True
 
 
 def _assert_same_outcome(got_fn, expected) -> None:
@@ -345,6 +356,9 @@ def _assert_same_outcome(got_fn, expected) -> None:
 
 
 class TestFloatSpliceMatchesKernels:
+    """The splice against the whole-profile float merge (first pinned to
+    the float64 kernels that computed that merge, hence the name)."""
+
     @pytest.mark.parametrize("indexed", [False, True])
     def test_add_both_orders(self, indexed):
         for wide, claim in itertools.product(FLOAT_WIDES, FLOAT_CLAIMS):
@@ -353,7 +367,7 @@ class TestFloatSpliceMatchesKernels:
             if indexed:
                 wide.rate_at(0)
                 wide._rates()
-            expected = _kernel_add(wide, claim)
+            expected = _whole_add(wide, claim)
             assert expected == _reference_add(wide, claim)
             _assert_same_outcome(lambda: wide + claim, expected)
             _assert_same_outcome(lambda: claim + wide, expected)
@@ -364,7 +378,7 @@ class TestFloatSpliceMatchesKernels:
             if indexed:
                 wide.rate_at(0)
                 wide._rates()
-            expected = _kernel_subtract(wide, claim)
+            expected = _whole_subtract(wide, claim)
             reference = _subtract_or_error(wide, claim)
             if isinstance(expected, Exception):
                 assert reference is UndefinedOperationError
@@ -372,14 +386,14 @@ class TestFloatSpliceMatchesKernels:
                 assert expected == reference
             _assert_same_outcome(lambda: wide.subtract(claim), expected)
 
-    def test_vec_built_operands_splice_too(self):
+    def test_full_merge_operands_splice_too(self):
         wide = RateProfile.sum(
-            [RateProfile([(0.0, 1.5), (2.0, 0.0)]), RateProfile([(1.0, 0.5)])]
+            [RateProfile([(0, 1.5), (2, 0)]), RateProfile([(1.0, 0.5)])]
         )
-        assert wide._pts is None  # kernel-built
+        _assert_float_form(wide)  # a full merge's result, by construction
         claim = RateProfile([(0.5, 0.5), (1.5, 0.0)])
         got = wide.subtract(claim)
-        assert got.breakpoints == _kernel_subtract(wide, claim).breakpoints
+        assert got.breakpoints == _whole_subtract(wide, claim).breakpoints
         _assert_float_form(got)
 
     def test_claims_added_then_subtracted_round_trip(self):
@@ -397,9 +411,9 @@ class TestFloatSpliceEdges:
             RateProfile([(1.0, 1.0), (2.0, 0.0)]),  # ends on a breakpoint
             RateProfile([(0.0, 1.5), (6.0, 0.0)]),  # the whole support
         ):
-            _assert_same_outcome(lambda: wide + claim, _kernel_add(wide, claim))
+            _assert_same_outcome(lambda: wide + claim, _whole_add(wide, claim))
             _assert_same_outcome(
-                lambda: wide.subtract(claim), _kernel_subtract(wide, claim)
+                lambda: wide.subtract(claim), _whole_subtract(wide, claim)
             )
 
     def test_claims_outside_the_support(self):
@@ -414,7 +428,7 @@ class TestFloatSpliceEdges:
         )
         with pytest.raises(UndefinedOperationError) as caught:
             wide.subtract(before)
-        assert str(caught.value) == str(_kernel_subtract(wide, before))
+        assert str(caught.value) == str(_whole_subtract(wide, before))
 
     def test_subtracting_down_to_zero(self):
         wide = RateProfile([(1.0, 2.5), (3.0, 4.0), (7.0, 0.0)])
@@ -427,7 +441,7 @@ class TestFloatSpliceEdges:
         dusty = RateProfile([(1.0, 1.0 + 1e-12), (2.0, 0.0)])
         got = wide.subtract(dusty)
         assert got.breakpoints == ((0.0, 1.0), (1.0, 0.0), (2.0, 1.0), (4.0, 0.0))
-        assert got.breakpoints == _kernel_subtract(wide, dusty).breakpoints
+        assert got.breakpoints == _whole_subtract(wide, dusty).breakpoints
         _assert_float_form(got)
 
     def test_negative_rate_message_keeps_float_operands(self):
@@ -438,13 +452,13 @@ class TestFloatSpliceEdges:
         assert str(caught.value) == (
             "subtraction would make the rate negative at t=2.0 (1.0 - 2.0)"
         )
-        assert str(caught.value) == str(_kernel_subtract(wide, claim))
+        assert str(caught.value) == str(_whole_subtract(wide, claim))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_inf_minus_inf_is_invalid(self):
         wide = RateProfile([(0.0, math.inf), (4.0, 0.0)])
         claim = RateProfile([(1.0, math.inf), (2.0, 0.0)])
-        assert isinstance(_kernel_subtract(wide, claim), InvalidTermError)
+        assert isinstance(_whole_subtract(wide, claim), InvalidTermError)
         with pytest.raises(InvalidTermError, match="NaN"):
             wide.subtract(claim)
 
@@ -486,8 +500,9 @@ class TestFloatForm:
         assert got._exact is True
 
     def test_a_float_splice_chain_never_builds_arrays(self):
-        """Neither deciding to splice nor querying the result builds the
-        O(n) float64 arrays."""
+        """Neither deciding to splice nor querying the result scans or
+        converts the whole slack: every result is in float form by
+        construction."""
         slack = RateProfile([(0.0, 60.0), (400.0, 0.0)])
         claims_ = [
             RateProfile([(float(s), 1.5), (float(s + 8), 0.0)])
@@ -502,9 +517,8 @@ class TestFloatForm:
             slack.clamp(window)
             slack = slack.subtract(claim)
             committed = committed + claim
-        for profile in (slack, committed, *claims_):
-            assert profile._vt is None and profile._vok is None
-        _assert_float_form(slack)
+        for profile in (slack, committed):
+            _assert_float_form(profile)
         assert slack == _reference_subtract(
             RateProfile([(0.0, 60.0), (400.0, 0.0)]), committed
         )

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,20 @@ class TestSurface:
         mod = importlib.import_module(module)
         for name in getattr(mod, "__all__", []):
             assert hasattr(mod, name), f"{module}.{name}"
+
+
+    def test_import_does_not_load_numpy(self):
+        """The profile algebra is pure Python: importing the package
+        must not pull numpy in (it is a test and benchmark extra)."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert probe.stdout.strip() == "False", probe.stdout
 
 
 class TestQuickstart:
