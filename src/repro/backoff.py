@@ -32,12 +32,25 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from repro.errors import RecoveryError
 
 #: Resolution of one jitter draw: the first 8 digest bytes, uniform on
 #: ``[0, 1)`` in steps of ``2**-64`` — far below any scheduling grid.
 _JITTER_DENOMINATOR = 1 << 64
+
+
+@lru_cache(maxsize=256)
+def exact_threshold(probability, max_denominator: int) -> Fraction:
+    """``Fraction(probability).limit_denominator(max_denominator)``,
+    computed once per distinct configured constant.
+
+    Seeded draws are compared against exact thresholds (link loss and
+    duplication, backoff jitter spread); the constants come from frozen
+    configs, so the conversion is a pure function of its arguments and
+    memoizing it changes no answer, only how often it is paid for."""
+    return Fraction(probability).limit_denominator(max_denominator)
 
 
 @dataclass(frozen=True)
@@ -95,7 +108,7 @@ class Backoff:
             capped = type(self.base)(raw) if raw == int(raw) else raw
         if not self.jitter:
             return capped
-        spread = Fraction(self.jitter).limit_denominator(10_000)
+        spread = exact_threshold(self.jitter, 10_000)
         # factor in [1 - jitter, 1 + jitter), exactly and statelessly
         scale = 1 - spread + 2 * spread * self._draw(attempt, key)
         jittered = Fraction(capped) * scale

@@ -26,15 +26,19 @@ from repro.errors import InvalidTermError
 
 
 def _cached_hash(cls):
-    """Keep each instance's field hash after its first computation.
+    """Keep each instance's field hash and ``str`` after their first
+    computation.
 
     Located types key every resource-set and per-type dict, so their
-    hash is taken on nearly every lookup of the admission path.  The
-    cache sits in the instance ``__dict__`` beside the fields: not a
-    field, so equality and ``repr`` ignore it, and dropped from the
-    pickled state, because string hashes differ between processes
-    (``PYTHONHASHSEED``) and the pickled bytes must not change."""
+    hash is taken on nearly every lookup of the admission path; their
+    ``str`` orders the conservation check's report and labels metric
+    samples.  The caches sit in the instance ``__dict__`` beside the
+    fields: not fields, so equality and ``repr`` ignore them, and dropped
+    from the pickled state, because string hashes differ between
+    processes (``PYTHONHASHSEED``) and the pickled bytes must not
+    change."""
     field_hash = cls.__hash__
+    field_str = cls.__str__
 
     def __hash__(self) -> int:
         try:
@@ -44,13 +48,24 @@ def _cached_hash(cls):
             object.__setattr__(self, "_hash", value)
             return value
 
-    def __getstate__(self) -> dict:
+    def __str__(self) -> str:
+        # A lookup, not ``try``: many instances are stringified only once
+        # (a fresh request's shortfall message), and a raised
+        # AttributeError would cost more than the string itself.
         state = self.__dict__
-        if "_hash" in state:
-            state = {k: v for k, v in state.items() if k != "_hash"}
+        value = state.get("_str")
+        if value is None:
+            value = state["_str"] = field_str(self)
+        return value
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        state.pop("_str", None)
         return state
 
     cls.__hash__ = __hash__
+    cls.__str__ = __str__
     cls.__getstate__ = __getstate__
     return cls
 

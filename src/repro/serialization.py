@@ -47,6 +47,37 @@ def _expect_object(data: Any, kind: str) -> None:
         )
 
 
+def _field(data: Mapping[str, Any], key: str, kind: str) -> Any:
+    """The value of a required key of a ``kind`` object."""
+    try:
+        return data[key]
+    except KeyError:
+        raise SerializationError(f"{kind} object has no {key!r} field") from None
+
+
+def _expect_list(value: Any, field: str) -> Any:
+    """Refuse a wire field that must be a JSON array before iterating it
+    (a string or an object would iterate as characters or keys)."""
+    if not isinstance(value, (list, tuple)):
+        raise SerializationError(
+            f"expected {field} list, got {type(value).__name__} {value!r}"
+        )
+    return value
+
+
+def _expect_str(value: Any, field: str) -> str:
+    """Refuse a wire field that must be a JSON string."""
+    if not isinstance(value, str):
+        raise SerializationError(
+            f"expected {field} string, got {type(value).__name__} {value!r}"
+        )
+    return value
+
+
+def _str_field(data: Mapping[str, Any], key: str, kind: str) -> str:
+    return _expect_str(_field(data, key, kind), key)
+
+
 # ----------------------------------------------------------------------
 # Scalars
 # ----------------------------------------------------------------------
@@ -115,9 +146,12 @@ def location_from_wire(data: Mapping[str, Any]) -> Node | Link:
     _expect_object(data, "location")
     kind = data.get("kind")
     if kind == "node":
-        return Node(data["name"])
+        return Node(_str_field(data, "name", "node"))
     if kind == "link":
-        return Link(Node(data["source"]), Node(data["destination"]))
+        return Link(
+            Node(_str_field(data, "source", "link")),
+            Node(_str_field(data, "destination", "link")),
+        )
     raise SerializationError(f"unknown location kind {kind!r}")
 
 
@@ -133,7 +167,10 @@ def ltype_from_wire(data: Mapping[str, Any]) -> LocatedType:
     _expect_object(data, "ltype")
     if data.get("kind") != "ltype":
         raise SerializationError(f"expected ltype, got {data.get('kind')!r}")
-    return LocatedType(data["resource"], location_from_wire(data["location"]))
+    return LocatedType(
+        _str_field(data, "resource", "ltype"),
+        location_from_wire(_field(data, "location", "ltype")),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +190,8 @@ def interval_from_wire(data: Mapping[str, Any]) -> Interval:
     if data.get("kind") != "interval":
         raise SerializationError(f"expected interval, got {data.get('kind')!r}")
     return Interval(
-        time_from_wire(data["start"], "start"), time_from_wire(data["end"], "end")
+        time_from_wire(_field(data, "start", "interval"), "start"),
+        time_from_wire(_field(data, "end", "interval"), "end"),
     )
 
 
@@ -171,9 +209,9 @@ def term_from_wire(data: Mapping[str, Any]) -> ResourceTerm:
     if data.get("kind") != "term":
         raise SerializationError(f"expected term, got {data.get('kind')!r}")
     return ResourceTerm(
-        time_from_wire(data["rate"], "rate", finite=True),
-        ltype_from_wire(data["ltype"]),
-        interval_from_wire(data["window"]),
+        time_from_wire(_field(data, "rate", "term"), "rate", finite=True),
+        ltype_from_wire(_field(data, "ltype", "term")),
+        interval_from_wire(_field(data, "window", "term")),
     )
 
 
@@ -190,7 +228,8 @@ def resource_set_from_wire(data: Mapping[str, Any]) -> ResourceSet:
         raise SerializationError(
             f"expected resource_set, got {data.get('kind')!r}"
         )
-    return ResourceSet(term_from_wire(t) for t in data["terms"])
+    terms = _expect_list(_field(data, "terms", "resource_set"), "terms")
+    return ResourceSet(term_from_wire(t) for t in terms)
 
 
 # ----------------------------------------------------------------------
@@ -211,14 +250,14 @@ def demands_from_wire(data: Mapping[str, Any]) -> Demands:
     _expect_object(data, "demands")
     if data.get("kind") != "demands":
         raise SerializationError(f"expected demands, got {data.get('kind')!r}")
-    return Demands(
-        {
-            ltype_from_wire(entry["ltype"]): time_from_wire(
-                entry["quantity"], "quantity", finite=True
-            )
-            for entry in data["amounts"]
-        }
-    )
+    amounts: dict = {}
+    for entry in _expect_list(_field(data, "amounts", "demands"), "amounts"):
+        _expect_object(entry, "amount")
+        ltype = ltype_from_wire(_field(entry, "ltype", "amount"))
+        amounts[ltype] = time_from_wire(
+            _field(entry, "quantity", "amount"), "quantity", finite=True
+        )
+    return Demands(amounts)
 
 
 def requirement_to_wire(
@@ -274,28 +313,37 @@ def requirement_from_wire(data: Mapping[str, Any]):
     kind = data.get("kind")
     if kind == "simple_requirement":
         return SimpleRequirement(
-            demands_from_wire(data["demands"]), interval_from_wire(data["window"])
+            demands_from_wire(_field(data, "demands", kind)),
+            interval_from_wire(_field(data, "window", kind)),
         )
     if kind == "complex_requirement":
+        phases = _expect_list(_field(data, "phases", kind), "phases")
         return ComplexRequirement(
-            [demands_from_wire(p) for p in data["phases"]],
-            interval_from_wire(data["window"]),
-            label=data.get("label", ""),
+            [demands_from_wire(p) for p in phases],
+            interval_from_wire(_field(data, "window", kind)),
+            label=_expect_str(data.get("label", ""), "label"),
         )
     if kind == "concurrent_requirement":
         components = tuple(
-            requirement_from_wire(part) for part in data["components"]
+            requirement_from_wire(part)
+            for part in _expect_list(
+                _field(data, "components", kind), "components"
+            )
         )
-        return ConcurrentRequirement(components, interval_from_wire(data["window"]))
+        return ConcurrentRequirement(
+            components, interval_from_wire(_field(data, "window", kind))
+        )
     if kind == "segmented_requirement":
+        segments = _expect_list(_field(data, "segments", kind), "segments")
+        waits = _expect_list(_field(data, "waits", kind), "waits")
         return SegmentedRequirement(
             [
-                [demands_from_wire(p) for p in segment]
-                for segment in data["segments"]
+                [demands_from_wire(p) for p in _expect_list(segment, "segment")]
+                for segment in segments
             ],
-            [_wait_from_wire(w) for w in data["waits"]],
-            interval_from_wire(data["window"]),
-            label=data.get("label", ""),
+            [_wait_from_wire(w) for w in waits],
+            interval_from_wire(_field(data, "window", kind)),
+            label=_expect_str(data.get("label", ""), "label"),
         )
     raise SerializationError(f"unknown requirement kind {kind!r}")
 
@@ -303,9 +351,9 @@ def requirement_from_wire(data: Mapping[str, Any]):
 def _wait_from_wire(data: Mapping[str, Any]) -> Wait:
     _expect_object(data, "wait")
     return Wait(
-        time_from_wire(data["min_delay"], "min_delay"),
-        time_from_wire(data["max_delay"], "max_delay"),
-        data.get("reason", "reply"),
+        time_from_wire(_field(data, "min_delay", "wait"), "min_delay"),
+        time_from_wire(_field(data, "max_delay", "wait"), "max_delay"),
+        _expect_str(data.get("reason", "reply"), "reason"),
     )
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from repro.backoff import Backoff
+from repro.backoff import Backoff, exact_threshold
 from repro.errors import ChannelError
 from repro.intervals.interval import Time
 from repro.markers import checkpointable
@@ -158,17 +158,17 @@ class NetworkModel:
         config = self.link(src, dst)
         if not config.loss:
             return False
-        return self._draw(f"{src}>{dst}:{msg_id}:loss") < Fraction(
-            config.loss
-        ).limit_denominator(1_000_000)
+        return self._draw(f"{src}>{dst}:{msg_id}:loss") < exact_threshold(
+            config.loss, 1_000_000
+        )
 
     def duplicated(self, src: str, dst: str, msg_id: str) -> bool:
         config = self.link(src, dst)
         if not config.duplicate:
             return False
-        return self._draw(f"{src}>{dst}:{msg_id}:dup") < Fraction(
-            config.duplicate
-        ).limit_denominator(1_000_000)
+        return self._draw(f"{src}>{dst}:{msg_id}:dup") < exact_threshold(
+            config.duplicate, 1_000_000
+        )
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ The conservation identity the trace supports is::
 :meth:`SimulationTrace.conservation_gaps` checks it both at run end (no
 remaining capacity inside the horizon) and mid-run (remaining capacity
 passed in), which is what lets the simulator use the auditor as a runtime
-invariant checker.
+invariant checker.  The totals behind it are kept incrementally (see
+:class:`_Ledger`), so a check costs the entries recorded since the
+previous one plus the located types, not the whole trace.
 """
 
 from __future__ import annotations
@@ -82,6 +84,64 @@ class PromiseViolation:
     remaining_total: Time
 
 
+class _Ledger:
+    """Per-located-type totals of consumption, expiry and loss, folded
+    incrementally over a trace's append-only lists.
+
+    Each query folds only the transitions and losses appended since the
+    previous one, in list order, with the same ``totals.get(lt, 0) + q``
+    step a from-scratch fold takes, so float totals are bit-identical to
+    it and exact totals stay exact.  The ledger holds the lists it folded
+    and how far: :meth:`tracks` tells whether that still describes the
+    trace.
+    """
+
+    __slots__ = (
+        "transitions", "losses", "folded_transitions", "folded_losses",
+        "consumed", "expired", "lost", "lost_by_cause",
+    )
+
+    def __init__(self, transitions: list, losses: list) -> None:
+        self.transitions = transitions
+        self.losses = losses
+        self.folded_transitions = 0
+        self.folded_losses = 0
+        self.consumed: Dict[LocatedType, Time] = {}
+        self.expired: Dict[LocatedType, Time] = {}
+        self.lost: Dict[LocatedType, Time] = {}
+        self.lost_by_cause: Dict[str, Dict[LocatedType, Time]] = {}
+
+    def tracks(self, transitions: list, losses: list) -> bool:
+        return (
+            transitions is self.transitions
+            and losses is self.losses
+            and len(transitions) >= self.folded_transitions
+            and len(losses) >= self.folded_losses
+        )
+
+    def catch_up(self) -> None:
+        transitions = self.transitions
+        if self.folded_transitions < len(transitions):
+            consumed, expired = self.consumed, self.expired
+            for index in range(self.folded_transitions, len(transitions)):
+                label = transitions[index].label
+                for _, ltype, quantity in label.consumed:
+                    consumed[ltype] = consumed.get(ltype, 0) + quantity
+                for ltype, quantity in label.expired:
+                    expired[ltype] = expired.get(ltype, 0) + quantity
+            self.folded_transitions = len(transitions)
+        losses = self.losses
+        if self.folded_losses < len(losses):
+            lost, by_cause = self.lost, self.lost_by_cause
+            for index in range(self.folded_losses, len(losses)):
+                loss = losses[index]
+                ltype, quantity = loss.ltype, loss.quantity
+                lost[ltype] = lost.get(ltype, 0) + quantity
+                bucket = by_cause.setdefault(loss.cause, {})
+                bucket[ltype] = bucket.get(ltype, 0) + quantity
+            self.folded_losses = len(losses)
+
+
 @dataclass
 class SimulationTrace:
     """Ordered record of every timed transition plus annotations."""
@@ -90,6 +150,11 @@ class SimulationTrace:
     notes: List[TraceNote] = field(default_factory=list)
     losses: List[ResourceLoss] = field(default_factory=list)
     violations: List[PromiseViolation] = field(default_factory=list)
+
+    #: Running totals behind the ``*_totals`` queries (see :class:`_Ledger`);
+    #: a plain class attribute, not a field, so equality and ``repr``
+    #: ignore it, and dropped from the pickled state.
+    _ledger = None
 
     def record(self, transition: Transition) -> None:
         self.transitions.append(transition)
@@ -137,24 +202,36 @@ class SimulationTrace:
             and (cause is None or cause in v.cause.split("+"))
         )
 
+    def _totals(self) -> "_Ledger":
+        """The running totals, folded up to the lists' current ends.
+
+        The ledger is rebuilt from scratch when ``transitions`` or
+        ``losses`` was replaced by another list or got shorter (checkpoint
+        restore swaps and extends them directly); otherwise only the
+        entries appended since the last query are folded."""
+        ledger = self._ledger
+        if ledger is None or not ledger.tracks(self.transitions, self.losses):
+            ledger = self._ledger = _Ledger(self.transitions, self.losses)
+        ledger.catch_up()
+        return ledger
+
+    def __getstate__(self) -> dict:
+        # The ledger is derived state: pickled traces (and so checkpoint
+        # payloads) keep exactly the four list fields.
+        state = self.__dict__.copy()
+        state.pop("_ledger", None)
+        return state
+
     def consumed_totals(self) -> Dict[LocatedType, Time]:
         """Total consumption per located type across the trace.
 
         Empty traces yield empty (zero-everywhere) totals, never an error.
         """
-        totals: Dict[LocatedType, Time] = {}
-        for transition in self.transitions:
-            for _, ltype, quantity in transition.label.consumed:
-                totals[ltype] = totals.get(ltype, 0) + quantity
-        return totals
+        return dict(self._totals().consumed)
 
     def expired_totals(self) -> Dict[LocatedType, Time]:
         """Total expired (unused) quantity per located type."""
-        totals: Dict[LocatedType, Time] = {}
-        for transition in self.transitions:
-            for ltype, quantity in transition.label.expired:
-                totals[ltype] = totals.get(ltype, 0) + quantity
-        return totals
+        return dict(self._totals().expired)
 
     def lost_totals(self, cause: str | None = None) -> Dict[LocatedType, Time]:
         """Total capacity lost to faults per located type.
@@ -169,14 +246,10 @@ class SimulationTrace:
         """
         if cause is not None:
             _check_cause(cause)
-        if not self.losses:
-            return {}
-        totals: Dict[LocatedType, Time] = {}
-        for loss in self.losses:
-            if cause is not None and loss.cause != cause:
-                continue
-            totals[loss.ltype] = totals.get(loss.ltype, 0) + loss.quantity
-        return totals
+        ledger = self._totals()
+        if cause is None:
+            return dict(ledger.lost)
+        return dict(ledger.lost_by_cause.get(cause, {}))
 
     def revoked_totals(self) -> Dict[LocatedType, Time]:
         return self.lost_totals("revocation")
@@ -219,9 +292,10 @@ class SimulationTrace:
         still ahead of the clock has neither been consumed nor expired,
         and balances the identity at every instant.
         """
-        consumed = self.consumed_totals()
-        expired = self.expired_totals()
-        all_lost = self.lost_totals()
+        ledger = self._totals()
+        consumed, expired, all_lost = (
+            ledger.consumed, ledger.expired, ledger.lost
+        )
         lost = all_lost if include_losses else {}
         gaps: List[str] = []
         # Key discovery always includes loss-only types: a located type
@@ -244,12 +318,12 @@ class SimulationTrace:
             total = offered.get(ltype, 0)
             if abs(float(accounted) - float(total)) > tolerance:
                 legs = "consumed+expired+lost"
-                if self.lost_totals("shed"):
+                if "shed" in ledger.lost_by_cause:
                     # deliberate front-door refusals ride in the loss
                     # records; name the leg so the message matches the
                     # extended identity offered = c + e + lost + shed
                     legs += "+shed"
-                if self.lost_totals("lease-expired"):
+                if "lease-expired" in ledger.lost_by_cause:
                     # conservative lease renunciations ride there too;
                     # the full identity reads
                     # offered = c + e + lost + shed + lease-expired

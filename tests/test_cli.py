@@ -221,6 +221,36 @@ class TestCheckRejectsBadNumbers:
         assert "Traceback" not in captured.out + captured.err
 
 
+
+#: Wire fields of the shipped check request given the wrong JSON shape.
+BAD_SHAPES = [
+    ('"terms": [', '"terms": 5, "was": [', "terms"),
+    ('"terms": [', '"terms": {"a": 1}, "was": [', "terms"),
+    ('"phases": [', '"phases": 5, "was": [', "phases"),
+    ('"amounts": [', '"amounts": "ab", "was": [', "amounts"),
+    ('"label": "pipeline-job"', '"label": 5', "label"),
+    ('"name": "n1"', '"name": 5', "name"),
+]
+
+
+class TestCheckRejectsBadShapes:
+    @pytest.mark.parametrize("old, new, field", BAD_SHAPES)
+    def test_exit_2_naming_the_field(self, tmp_path, capsys, old, new, field):
+        path = write_bad_request(tmp_path, old, new)
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed request: ")
+        assert field in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_missing_field_exits_2(self, tmp_path, capsys):
+        path = write_bad_request(tmp_path, '"rate": 6,', "")
+        assert main(["check", path]) == 2
+        captured = capsys.readouterr()
+        assert "term object has no 'rate' field" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestReplay:
     def test_replay_recorded_trace(self, tmp_path, capsys):
         import json as _json

@@ -133,6 +133,24 @@ class TestSpecCommand:
         assert new.split('"')[1] in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda p: p["resources"].__setitem__("terms", 5), "terms"),
+        (lambda p: p["resources"].__setitem__("terms", {"a": 1}), "terms"),
+        (lambda p: p["requirement"].__setitem__("phases", 5), "phases"),
+        (lambda p: p["requirement"].__setitem__("label", 5), "label"),
+        (lambda p: p["requirement"].pop("window"), "window"),
+    ])
+    def test_bad_wire_shape_is_a_finding(self, edit, field, tmp_path, capsys):
+        payload = json.loads(json.dumps(GOOD_REQUEST))
+        edit(payload)
+        bad = tmp_path / "request.json"
+        bad.write_text(json.dumps(payload))
+        assert lint_main(["spec", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "[spec-syntax]" in captured.out
+        assert field in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_missing_file_exits_2(self, capsys):
         assert lint_main(["spec", "/nonexistent/spec.json"]) == 2
         assert "no such file" in capsys.readouterr().err

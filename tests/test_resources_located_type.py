@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import InvalidTermError
@@ -79,3 +82,31 @@ class TestLocatedType:
     def test_usable_as_dict_key(self):
         table = {cpu("l1"): 5, network("l1", "l2"): 2}
         assert table[cpu("l1")] == 5
+
+
+class TestCachedHashAndStr:
+    VALUES = (
+        Node("l1"),
+        Link(Node("l1"), Node("l2")),
+        cpu("l1"),
+        network("l1", "l2"),
+        located("memory", Link(Node("a"), Node("b"))),
+    )
+
+    @pytest.mark.parametrize("value", VALUES, ids=str)
+    def test_caches_stay_out_of_pickle_repr_and_equality(self, value):
+        fresh = pickle.loads(pickle.dumps(value))
+        assert "_hash" not in vars(fresh) and "_str" not in vars(fresh)
+        text, digest = str(value), hash(value)
+        assert vars(value)["_str"] == text and vars(value)["_hash"] == digest
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(value, protocol) == pickle.dumps(fresh, protocol)
+        assert repr(value) == repr(fresh)
+        assert value == fresh and str(fresh) == text
+        assert copy.deepcopy(value) == value
+
+    def test_nested_locations_are_cached_independently(self):
+        ltype = network("x", "y")
+        assert f"{ltype}" == "<network, x -> y>"
+        assert str(ltype.location) == "x -> y"
+        assert str(ltype) == "<network, x -> y>"

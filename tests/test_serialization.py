@@ -212,6 +212,115 @@ class TestNonObjectWire:
             requirement_from_wire(wire)
 
 
+
+def _segmented_wire():
+    return requirement_to_wire(
+        SegmentedRequirement(
+            [[Demands({cpu("n1"): 1})], [Demands({cpu("n1"): 2})]],
+            [Wait(0, 2)],
+            Interval(0, 9),
+            label="seg",
+        )
+    )
+
+
+def _complex_wire():
+    return requirement_to_wire(
+        ComplexRequirement(
+            [Demands({cpu("n1"): 1})], Interval(0, 4), label="job"
+        )
+    )
+
+
+class TestWireShapes:
+    """Every list field, string field and required key is checked before
+    it is read: a wrong shape is a :class:`SerializationError` naming the
+    field, never a ``TypeError``/``AttributeError``/``KeyError``."""
+
+    @pytest.mark.parametrize("value", [5, {"a": 1}, "ab", None])
+    def test_terms_must_be_a_list(self, value):
+        with pytest.raises(SerializationError, match="expected terms list"):
+            resource_set_from_wire({"kind": "resource_set", "terms": value})
+
+    @pytest.mark.parametrize(
+        "build, path, field",
+        [
+            (_complex_wire, ("phases",), "phases"),
+            (_complex_wire, ("phases", 0, "amounts"), "amounts"),
+            (_segmented_wire, ("segments",), "segments"),
+            (_segmented_wire, ("segments", 1), "segment"),
+            (_segmented_wire, ("waits",), "waits"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [5, {"a": 1}, "ab"])
+    def test_requirement_lists(self, build, path, field, value):
+        wire = build()
+        target = wire
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(SerializationError, match=f"expected {field} list"):
+            requirement_from_wire(wire)
+
+    @pytest.mark.parametrize("value", [5, {"a": 1}, "ab"])
+    def test_components_must_be_a_list(self, value):
+        wire = {
+            "kind": "concurrent_requirement",
+            "window": interval_to_wire(Interval(0, 9)),
+            "components": value,
+        }
+        with pytest.raises(SerializationError, match="expected components list"):
+            requirement_from_wire(wire)
+
+    @pytest.mark.parametrize("build", [_complex_wire, _segmented_wire])
+    @pytest.mark.parametrize("value", [5, ["job"], None, True])
+    def test_label_must_be_a_string(self, build, value):
+        wire = build()
+        wire["label"] = value
+        with pytest.raises(SerializationError, match="expected label string"):
+            requirement_from_wire(wire)
+
+    def test_amount_entries_must_be_objects(self):
+        wire = _complex_wire()
+        wire["phases"][0]["amounts"] = ["ltype"]
+        with pytest.raises(SerializationError, match="expected amount object"):
+            requirement_from_wire(wire)
+
+    @pytest.mark.parametrize(
+        "decode, wire, field",
+        [
+            (location_from_wire, {"kind": "node", "name": 5}, "name"),
+            (location_from_wire,
+             {"kind": "link", "source": "a", "destination": 5}, "destination"),
+            (ltype_from_wire,
+             {"kind": "ltype", "resource": 5,
+              "location": {"kind": "node", "name": "a"}}, "resource"),
+        ],
+    )
+    def test_names_must_be_strings(self, decode, wire, field):
+        with pytest.raises(SerializationError, match=f"expected {field} string"):
+            decode(wire)
+
+    @pytest.mark.parametrize(
+        "decode, wire, missing",
+        [
+            (location_from_wire, {"kind": "node"}, "name"),
+            (interval_from_wire, {"kind": "interval", "start": 0}, "end"),
+            (resource_set_from_wire, {"kind": "resource_set"}, "terms"),
+            (demands_from_wire, {"kind": "demands"}, "amounts"),
+            (requirement_from_wire,
+             {"kind": "complex_requirement", "phases": []}, "window"),
+        ],
+    )
+    def test_missing_key_names_the_field(self, decode, wire, missing):
+        with pytest.raises(SerializationError, match=f"no '{missing}' field"):
+            decode(wire)
+
+    def test_well_formed_wire_still_round_trips(self):
+        for wire in (_complex_wire(), _segmented_wire()):
+            assert requirement_to_wire(requirement_from_wire(wire)) == wire
+
+
 class TestScheduleExport:
     def test_schedule_to_wire(self, cpu1, net12, small_pool):
         req = ComplexRequirement(
