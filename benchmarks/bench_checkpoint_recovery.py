@@ -40,14 +40,14 @@ from repro.baselines import RotaAdmission
 from repro.faults import (
     FaultPlan,
     RecoveryPolicy,
-    SimulatedCrash,
-    crashing_opener,
     diff_fingerprints,
+    fault_cell,
     faulty_scenario,
     report_fingerprint,
 )
+from repro.faults.chaos import kill_cell, resume_cell
 from repro.system import OpenSystemSimulator, ReservationPolicy
-from repro.system.checkpoint import CheckpointStore, Journal, SimulatorCheckpoint
+from repro.system.checkpoint import Journal, SimulatorCheckpoint
 from repro.workloads import volunteer_scenario
 
 RESULTS_PATH = (
@@ -146,15 +146,9 @@ def bench_recovery(
     checkpoint_every: int = 5,
 ) -> List[Dict[str, float]]:
     """Kill the journaled run at fractions of its WAL; time the resume."""
+    cell = fault_cell("e16", scenario, lambda: make_simulator(scenario))
     basedir = workdir / "recovery-baseline"
-    basedir.mkdir(parents=True, exist_ok=True)
-    _, baseline = _timed_run(
-        scenario, 1,
-        journal=basedir / "journal.jsonl",
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=basedir,
-    )
-    truth = report_fingerprint(baseline)
+    truth = kill_cell(cell, basedir, checkpoint_every=checkpoint_every)
     records, _ = Journal.scan(basedir / "journal.jsonl")
     total = len(records)
 
@@ -162,42 +156,25 @@ def bench_recovery(
     for fraction in fractions:
         crash_at = max(2, round(fraction * total))
         pointdir = workdir / f"crash-{int(fraction * 100):02d}"
-        pointdir.mkdir(parents=True, exist_ok=True)
-        journal_path = pointdir / "journal.jsonl"
-        journal = Journal(
-            journal_path, opener=crashing_opener(crash_at_write=crash_at)
+        survivor = kill_cell(
+            cell, pointdir, checkpoint_every=checkpoint_every, write=crash_at
         )
-        simulator = make_simulator(scenario)
-        simulator.schedule(*scenario.events)
-        try:
-            simulator.run(
-                scenario.horizon,
-                journal=journal,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=pointdir,
-            )
-            raise AssertionError(
-                f"run survived its crash budget ({crash_at}/{total} writes)"
-            )
-        except SimulatedCrash:
-            pass
-        finally:
-            journal.close()
-
+        assert survivor is None, (
+            f"run survived its crash budget ({crash_at}/{total} writes)"
+        )
         started = time.perf_counter()
-        latest = CheckpointStore(pointdir).latest()
-        assert latest is not None, f"no checkpoint survived at {fraction}"
-        resumed = OpenSystemSimulator.resume(latest, journal_path)
-        replayed = len(resumed._replay_records)
-        resumed_report = resumed.resume_run()
+        resumed = resume_cell(cell, pointdir)
         resume_s = time.perf_counter() - started
-        gaps = diff_fingerprints(truth, report_fingerprint(resumed_report))
+        assert resumed.resumed_from != "fresh", (
+            f"no checkpoint survived at {fraction}"
+        )
+        gaps = resumed.divergence(truth)
         rows.append(
             {
                 "crash_fraction": fraction,
                 "crash_at_write": crash_at,
                 "journal_records_total": total,
-                "replayed_records": replayed,
+                "replayed_records": resumed.replayed,
                 "resume_s": resume_s,
                 "identical": not gaps,
             }

@@ -37,15 +37,14 @@ from typing import Dict, List
 
 from repro.faults import (
     PartitionPlan,
-    SimulatedCrash,
-    crashing_opener,
     diff_fingerprints,
+    mesh_cell,
     network_digest,
     report_fingerprint,
-    resume_mesh,
     run_mesh,
 )
-from repro.system.checkpoint import CheckpointStore, Journal
+from repro.faults.chaos import kill_cell, resume_cell
+from repro.system.checkpoint import Journal
 
 RESULTS_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_mesh_recovery.json"
@@ -133,10 +132,9 @@ def bench_recovery(
     plan, workdir: Path, *, fractions=CRASH_FRACTIONS
 ) -> List[Dict[str, float]]:
     """Kill the journaled mesh at fractions of its WAL; time the resume."""
+    cell = mesh_cell(plan)
     basedir = workdir / "recovery-baseline"
-    _, baseline, baseline_policy = _timed_run(plan, 1, basedir)
-    truth_fp = report_fingerprint(baseline)
-    truth_digest = network_digest(baseline_policy)
+    truth = kill_cell(cell, basedir, checkpoint_every=CHECKPOINT_EVERY)
     records, _ = Journal.scan(basedir / "journal.jsonl")
     total = len(records)
 
@@ -144,47 +142,28 @@ def bench_recovery(
     for fraction in fractions:
         crash_at = max(2, round(fraction * total))
         pointdir = workdir / f"crash-{int(fraction * 100):02d}"
-        pointdir.mkdir(parents=True, exist_ok=True)
-        journal = Journal(
-            pointdir / "journal.jsonl",
-            opener=crashing_opener(crash_at_write=crash_at),
+        survivor = kill_cell(
+            cell, pointdir, checkpoint_every=CHECKPOINT_EVERY, write=crash_at
         )
-        try:
-            run_mesh(
-                plan,
-                checkpoint_every=CHECKPOINT_EVERY,
-                checkpoint_dir=pointdir,
-                journal=journal,
-            )
-            raise AssertionError(
-                f"run survived its crash budget ({crash_at}/{total} writes)"
-            )
-        except SimulatedCrash:
-            pass
-        finally:
-            journal.close()
-
+        assert survivor is None, (
+            f"run survived its crash budget ({crash_at}/{total} writes)"
+        )
         started = time.perf_counter()
-        if CheckpointStore(pointdir).latest() is None:
-            # Death before the first durable snapshot: recovery is a
-            # from-scratch rerun — still loss-free, still identical.
-            resumed_report, resumed_policy = run_mesh(plan)
-            resumed_from = "fresh"
-        else:
-            resumed_report, resumed_policy = resume_mesh(pointdir)
-            resumed_from = "checkpoint"
+        # Death before the first durable snapshot resumes as a
+        # from-scratch rerun — still loss-free, still identical.
+        resumed = resume_cell(cell, pointdir)
         resume_s = time.perf_counter() - started
-        gaps = diff_fingerprints(truth_fp, report_fingerprint(resumed_report))
+        ours, theirs = resumed.identity, truth.identity
+        gaps = diff_fingerprints(theirs["fingerprint"], ours["fingerprint"])
         rows.append(
             {
                 "crash_fraction": fraction,
                 "crash_at_write": crash_at,
                 "journal_records_total": total,
-                "resumed_from": resumed_from,
+                "resumed_from": resumed.resumed_from,
                 "resume_s": resume_s,
                 "identical": not gaps,
-                "network_identical":
-                    network_digest(resumed_policy) == truth_digest,
+                "network_identical": ours["network"] == theirs["network"],
             }
         )
         assert not gaps, f"resume at {fraction} diverged: {gaps}"

@@ -524,7 +524,14 @@ def check_temporal_constraints(
             constraint["relations"], path, at
         )
         findings.extend(relation_findings)
-        if relations is None:
+        unnamed = [k for k in ("a", "b") if not isinstance(constraint[k], str)]
+        findings.extend(
+            _finding(path, "spec-syntax",
+                     f"must name an interval, got {constraint[k]!r}",
+                     where=f"{at}.{k}")
+            for k in unnamed
+        )
+        if relations is None or unnamed:
             continue
         missing = [
             name for name in (constraint["a"], constraint["b"])
@@ -601,6 +608,13 @@ def _check_temporal_spec(
         intervals = {}
     for name, wire in intervals.items():
         at = f"$.intervals.{name}"
+        if not isinstance(wire, Mapping):
+            findings.append(
+                _finding(path, "spec-syntax",
+                         f"interval {name!r} must be an interval object, "
+                         f"got {wire!r}", where=at)
+            )
+            continue
         interval_findings = _interval_wire_findings(wire, path, at)
         if interval_findings:
             findings.extend(interval_findings)
@@ -691,6 +705,13 @@ def _check_scenario(
     events = []
     for index, wire in enumerate(events_wire):
         at = f"$.events[{index}]"
+        if not isinstance(wire, Mapping):
+            findings.append(
+                _finding(path, "spec-syntax",
+                         f"event must be a wire event object, got {wire!r}",
+                         where=at)
+            )
+            continue
         interval_findings = _interval_wire_findings(wire, path, at)
         if interval_findings:
             findings.extend(interval_findings)

@@ -738,21 +738,14 @@ def _resume_scenario(checkpoint_dir, policy_name):
     """Restore the latest checkpoint under ``checkpoint_dir/policy_name``
     and run the simulation to completion."""
     from repro.errors import CheckpointError
-    from repro.system import latest_checkpoint
 
     policy_dir = checkpoint_dir / policy_name
-    checkpoint_path = latest_checkpoint(policy_dir)
-    if checkpoint_path is None:
+    simulator = OpenSystemSimulator.resume_latest(policy_dir)
+    if simulator is None:
         raise CheckpointError(
             f"no usable checkpoint under {policy_dir}; "
             "run with --checkpoint-dir first"
         )
-    journal_path = policy_dir / "journal.jsonl"
-    simulator = OpenSystemSimulator.resume(
-        checkpoint_path,
-        journal_path if journal_path.exists() else None,
-        checkpoint_dir=policy_dir,
-    )
     return simulator.resume_run()
 
 

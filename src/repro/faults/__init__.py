@@ -16,71 +16,62 @@ simulator the machinery to *survive* the breakage:
   surviving resources through the same Theorem-4 check, capped
   exponential backoff between offers, and graceful degradation into an
   explicit ``abandoned`` outcome with salvage accounting.
+* :func:`chaos_matrix` — one runner that replays or kills crash,
+  overload and partition cells and judges every run by named oracles
+  (promise safety, extended conservation, identity, vacuity).
 """
 
 from repro.baselines.retry import ExponentialBackoff
 from repro.faults.chaos import (
+    Cell,
+    ChaosPoint,
     ChaosResult,
     CrashingFile,
-    CrashPoint,
+    Kill,
     SimulatedCrash,
-    chaos_crash_matrix,
+    chaos_matrix,
     crashing_opener,
     diff_fingerprints,
+    fault_cell,
+    mesh_cell,
+    overload_cells,
     report_fingerprint,
 )
 from repro.faults.detection import Victim, find_victims, residual_requirement
 from repro.faults.netfaults import (
     MeshPolicy,
-    NetfaultPoint,
-    NetfaultResult,
-    PartitionCrashPoint,
-    PartitionCrashResult,
     PartitionPlan,
     admitted_promise_violations,
-    chaos_partition_crash_matrix,
-    chaos_partition_matrix,
     mesh_events,
     network_digest,
     resume_mesh,
     run_mesh,
-)
-from repro.faults.overload import (
-    OverloadPlan,
-    OverloadPoint,
-    OverloadResult,
-    chaos_overload_matrix,
 )
 from repro.faults.plan import FaultPlan, faulty_scenario
 from repro.faults.recovery import RecoveryPolicy
 from repro.system.tracing import PromiseViolation, ResourceLoss
 
 __all__ = [
+    "Cell",
+    "ChaosPoint",
     "ChaosResult",
     "CrashingFile",
-    "CrashPoint",
     "ExponentialBackoff",
     "FaultPlan",
+    "Kill",
     "MeshPolicy",
-    "NetfaultPoint",
-    "NetfaultResult",
-    "OverloadPlan",
-    "PartitionCrashPoint",
-    "PartitionCrashResult",
-    "OverloadPoint",
-    "OverloadResult",
     "PartitionPlan",
     "SimulatedCrash",
     "admitted_promise_violations",
-    "chaos_crash_matrix",
-    "chaos_overload_matrix",
-    "chaos_partition_crash_matrix",
-    "chaos_partition_matrix",
+    "chaos_matrix",
     "crashing_opener",
     "diff_fingerprints",
+    "fault_cell",
     "faulty_scenario",
     "find_victims",
+    "mesh_cell",
     "mesh_events",
+    "overload_cells",
     "network_digest",
     "resume_mesh",
     "run_mesh",

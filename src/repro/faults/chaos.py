@@ -1,46 +1,60 @@
-"""Chaos harness: kill a run anywhere, resume it, demand identity.
+"""Chaos harness: perturb a run, then judge it by named oracles.
 
-The durability subsystem's contract (:mod:`repro.system.checkpoint`) is
-that a run interrupted at *any* instant resumes to the same temporal
-state — not a merely similar one.  This module turns that sentence into
-an exhaustive experiment:
+The paper's promise is that a computation admitted by the Theorem-4
+check meets its deadline.  This module tests that promise under crashes,
+overload and partitions with one cell runner, :func:`chaos_matrix`, fed
+three inputs:
 
-* :class:`CrashingFile` — an injectable file object that dies after a
-  budgeted number of writes, optionally mid-write (leaving the torn tail
-  a real ``kill -9`` would leave);
-* :func:`chaos_crash_matrix` — runs one seeded scenario, then re-runs it
-  once per crash point (every journal-record boundary, i.e. every event
-  application and admission decision, plus mid-write tears and
-  checkpoint-write crashes), resumes each from the surviving artifacts,
-  and compares the resumed :class:`~repro.system.simulator.SimulationReport`
-  field-for-field against the uninterrupted run;
-* :func:`report_fingerprint` — the canonical, exhaustive comparison form
-  (records including violation causes and salvage accounting, offered /
-  consumed tallies, every trace note, loss, violation, and per-slice
-  transition label).
+* **cells** (:class:`Cell`) — a zero-argument builder of a fresh run:
+  a scheduled simulator plus its horizon (:func:`fault_cell`,
+  :func:`mesh_cell`, the front door as a policy), or a ``serve(...)``
+  run of the front door itself (:func:`overload_cells`);
+* **a perturbation** — *replay* (run the cell twice and compare) or
+  :class:`Kill` (kill the run at every ``stride``-th journal-record
+  boundary, optionally torn mid-write, and during checkpoint saves; then
+  resume it through :func:`resume_cell`, the one recovery path);
+* **named oracles** — ``promise-safety`` (no admitted promise missed or
+  left running; no promise broken by queueing), ``conservation``
+  (``offered = consumed + expired + lost + shed``), ``identity``
+  (:func:`report_fingerprint`, plus the network digest of a wire-carrying
+  policy or a service's decision-log fingerprint) and each cell's
+  ``vacuity`` guard (a cell that exercised nothing proves nothing).
 
-Conservation (``offered = consumed + expired + lost``) is re-verified at
-the resume instant by :meth:`OpenSystemSimulator.resume` itself; the
-matrix additionally asserts it on every final report.
-
-The networked sibling of this matrix lives in
-:func:`repro.faults.netfaults.chaos_partition_crash_matrix`: it reuses
-:class:`SimulatedCrash` / :func:`crashing_opener` to kill *mesh* runs at
-every journal-record boundary — including mid-partition and mid-RPC
-backoff — and additionally demands the resumed run's wire state
-(:func:`repro.faults.netfaults.network_digest`) be byte-identical.
+Injection lives here too: :class:`CrashingFile` dies after a budgeted
+number of writes, optionally leaving the torn tail ``kill -9`` leaves.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import RotaError
+from repro.errors import FaultInjectionError, RotaError
+from repro.faults.netfaults import (
+    MeshPolicy,
+    PartitionPlan,
+    admitted_promise_violations,
+    mesh_simulator,
+    network_digest,
+)
+from repro.intervals.interval import Time
 from repro.serialization import time_to_wire
+from repro.service.config import ServiceConfig
+from repro.service.driver import serve
+from repro.service.policy import FrontDoorPolicy
+from repro.service.report import ServiceReport
 from repro.system.checkpoint import CheckpointStore, Journal
+from repro.system.events import arrival, resource_join
 from repro.system.simulator import OpenSystemSimulator, SimulationReport
+from repro.workloads.overload import (
+    flash_crowd_requests,
+    stalled_enclave_stream,
+)
 from repro.workloads.scenarios import Scenario
 
 
@@ -55,7 +69,9 @@ class CrashingFile:
     With ``partial_bytes`` set, that write first delivers a prefix of its
     payload (and flushes it, so the torn bytes truly reach the file) —
     modelling a crash mid-``write(2)``.  With ``partial_bytes=None`` the
-    write delivers nothing: a clean record-boundary death.
+    write delivers nothing: a clean record-boundary death.  Files sharing
+    one ``writes`` counter share one budget: a process has one death,
+    not one per file.
     """
 
     def __init__(
@@ -64,35 +80,26 @@ class CrashingFile:
         *,
         crash_at_write: int,
         partial_bytes: Optional[int] = None,
+        writes: Optional[List[int]] = None,
     ) -> None:
         if crash_at_write < 1:
             raise ValueError("crash_at_write counts writes from 1")
         self._handle = handle
         self._crash_at_write = crash_at_write
         self._partial_bytes = partial_bytes
-        self._writes = 0
+        self._writes = [0] if writes is None else writes
 
     def write(self, data) -> int:
-        self._writes += 1
-        if self._writes == self._crash_at_write:
+        self._writes[0] += 1
+        if self._writes[0] == self._crash_at_write:
             if self._partial_bytes:
-                torn = data[: self._partial_bytes]
-                self._handle.write(torn)
+                self._handle.write(data[: self._partial_bytes])
                 self._handle.flush()
             raise SimulatedCrash(
-                f"simulated crash on write {self._writes}"
+                f"simulated crash on write {self._writes[0]}"
                 + (" (mid-write)" if self._partial_bytes else "")
             )
         return self._handle.write(data)
-
-    def flush(self) -> None:
-        self._handle.flush()
-
-    def fileno(self) -> int:
-        return self._handle.fileno()
-
-    def close(self) -> None:
-        self._handle.close()
 
     def __getattr__(self, name: str):
         return getattr(self._handle, name)
@@ -103,27 +110,15 @@ def crashing_opener(
 ) -> Callable[..., CrashingFile]:
     """An ``open``-alike whose files share one write budget — inject into
     :class:`Journal` or :class:`CheckpointStore` to schedule the death."""
-    budget = {"writes_left": crash_at_write}
+    writes = [0]
 
     def opener(path, mode="r"):
-        handle = open(path, mode)
-        wrapper = CrashingFile(
-            handle,
-            crash_at_write=budget["writes_left"],
+        return CrashingFile(
+            open(path, mode),
+            crash_at_write=crash_at_write,
             partial_bytes=partial_bytes,
+            writes=writes,
         )
-        # Writes on earlier files of the same opener count against the
-        # shared budget (a process has one death, not one per file).
-        original_write = wrapper.write
-
-        def write(data):
-            try:
-                return original_write(data)
-            finally:
-                budget["writes_left"] -= 1
-
-        wrapper.write = write  # type: ignore[method-assign]
-        return wrapper
 
     return opener
 
@@ -175,13 +170,9 @@ def report_fingerprint(report: SimulationReport) -> Dict[str, Any]:
                 "admitted": r.admitted,
                 "rejection_reason": r.rejection_reason,
                 "completed": r.completed,
-                "finish_time": time_to_wire(r.finish_time)
-                if r.finish_time is not None
-                else None,
+                "finish_time": _optional_time(r.finish_time),
                 "missed": r.missed,
-                "violated_at": time_to_wire(r.violated_at)
-                if r.violated_at is not None
-                else None,
+                "violated_at": _optional_time(r.violated_at),
                 "recovery_attempts": r.recovery_attempts,
                 "recovered": r.recovered,
                 "abandoned": r.abandoned,
@@ -223,247 +214,412 @@ def report_fingerprint(report: SimulationReport) -> Dict[str, Any]:
     }
 
 
+def _optional_time(value: Optional[Time]) -> Any:
+    return None if value is None else time_to_wire(value)
+
+
 def _tally(amounts) -> List[tuple]:
     return sorted((str(ltype), float(q)) for ltype, q in amounts.items())
 
 
 def diff_fingerprints(a: Dict[str, Any], b: Dict[str, Any]) -> List[str]:
     """Human-readable field paths where two fingerprints disagree."""
-    gaps = []
-    for key in a:
-        if a[key] != b[key]:
-            gaps.append(key)
-    return gaps
+    return [key for key in a if a[key] != b[key]]
 
 
 # ----------------------------------------------------------------------
-# The crash matrix
+# Cells
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Cell:
+    """One scenario of the matrix.
+
+    With a ``horizon``, ``build()`` returns a fresh simulator with its
+    events scheduled; without one, ``build()`` *is* the run and returns a
+    :class:`~repro.service.report.ServiceReport`.  ``guard`` receives a
+    finished run's report and policy and names why the cell proved
+    nothing (or returns ``None``).
+    """
+
+    name: str
+    build: Callable[[], Any]
+    horizon: Optional[Time] = None
+    guard: Callable[[Any, Any], Optional[str]] = lambda report, policy: None
+
+
+def fault_cell(
+    name: str,
+    scenario: Scenario,
+    simulator_factory: Callable[[], OpenSystemSimulator],
+) -> Cell:
+    """A scenario run on fresh simulators from ``simulator_factory``."""
+
+    def build() -> OpenSystemSimulator:
+        simulator = simulator_factory()
+        simulator.schedule(*scenario.events)
+        return simulator
+
+    return Cell(name, build, scenario.horizon)
+
+
+def mesh_cell(plan: PartitionPlan) -> Cell:
+    """The plan's mesh run, named by the fields it changes."""
+    changed = ", ".join(
+        f"{f.name}={getattr(plan, f.name)!r}"
+        for f in dataclasses.fields(plan)
+        if getattr(plan, f.name) != f.default
+    )
+
+    def guard(report: SimulationReport, policy: MeshPolicy) -> Optional[str]:
+        outlasted = plan.partition_duration > plan.lease_ttl and plan.severed
+        if outlasted and not policy.leases.expired():
+            return "partition outlasted the ttl but no lease expired"
+        return None
+
+    return Cell(
+        f"mesh({changed})", lambda: mesh_simulator(plan), plan.horizon, guard
+    )
+
+
+def overload_cells(
+    seed: int = 0, multipliers: Sequence[int] = (1, 2, 4, 10)
+) -> List[Cell]:
+    """One flash-crowd cell per multiplier, the stalled-enclave stream,
+    and that stream through the simulator with the front door as its
+    admission policy (per-slice extended conservation)."""
+    if not multipliers or any(
+        not isinstance(m, int) or m < 1 for m in multipliers
+    ):
+        raise FaultInjectionError(
+            f"multipliers must be positive integers, got {multipliers!r}"
+        )
+    # Small queues so a 10x burst pressures them, and brownout engaging
+    # well before the bound so the degraded path is exercised.
+    config = ServiceConfig(
+        max_queue=16, brownout_enter=8, brownout_exit=3, seed=seed
+    )
+    cells = [_flash_crowd(seed, m, config) for m in multipliers]
+
+    def stalled() -> ServiceReport:
+        resources, requests, joins, stalls = stalled_enclave_stream(seed)
+        return serve(requests, resources=resources, joins=joins,
+                     config=config, stalls=stalls)
+
+    def front_door() -> OpenSystemSimulator:
+        resources, requests, joins, stalls = stalled_enclave_stream(seed)
+        simulator = OpenSystemSimulator(
+            FrontDoorPolicy(
+                config=ServiceConfig(breaker_failures=2, seed=seed),
+                stalls=stalls,
+                verify_brownout=True,
+            ),
+            initial_resources=resources,
+            invariant_interval=1,
+        )
+        simulator.schedule(
+            *(arrival(r.arrival, r.requirement, label=r.label)
+              for r in requests),
+            *(resource_join(at, joining) for at, joining in joins),
+        )
+        return simulator
+
+    cells.append(Cell(
+        f"stalled-enclave(seed={seed})",
+        stalled,
+        guard=lambda report, _: None if report.breaker_transitions
+        else "stall never tripped a breaker (plan too gentle)",
+    ))
+    cells.append(Cell(
+        f"front-door(seed={seed})",
+        front_door,
+        horizon=60,
+        guard=lambda report, _: None if report.trace.shed_totals()
+        else "no capacity was shed (breaker never walled a join)",
+    ))
+    return cells
+
+
+def _flash_crowd(seed: int, multiplier: int, config: ServiceConfig) -> Cell:
+    def run() -> ServiceReport:
+        resources, requests = flash_crowd_requests(seed, multiplier=multiplier)
+        return serve(requests, resources=resources, config=config)
+
+    def guard(report: ServiceReport, _) -> Optional[str]:
+        if not report.goodput:
+            return "the crowd admitted nothing"
+        if multiplier >= 10 and not report.shed:  # a crowd that must overflow
+            return f"a {multiplier}x crowd shed nothing (door never full)"
+        return None
+
+    return Cell(f"flash-crowd(seed={seed}, x={multiplier})", run, guard=guard)
+
+
+# ----------------------------------------------------------------------
+# One run, and the oracles that judge it
 # ----------------------------------------------------------------------
 
 @dataclass
-class CrashPoint:
-    """One scheduled death and what resuming from it produced."""
+class Outcome:
+    """A finished run (uninterrupted, or resumed after a kill)."""
 
-    kind: str  # "boundary" | "mid-write" | "checkpoint"
-    index: int  # write (or save) number the crash landed on
-    crashed: bool  # False when the run finished before the budget hit
-    resumed_from: str = ""  # checkpoint file name, or "fresh" fallback
-    replayed_records: int = 0
-    identical: bool = False
-    detail: str = ""
+    report: Any  # SimulationReport, or ServiceReport for a service cell
+    policy: Any = None
+    resumed_from: str = ""  # "checkpoint", "fresh", or "" (never killed)
+    replayed: int = 0  # journal records the resume re-verified
+
+    @cached_property
+    def identity(self) -> Dict[str, Any]:
+        if isinstance(self.report, ServiceReport):
+            return {"decision_log": self.report.fingerprint}
+        identity: Dict[str, Any] = {
+            "fingerprint": report_fingerprint(self.report)
+        }
+        if isinstance(self.policy, MeshPolicy):
+            identity["network"] = network_digest(self.policy)
+        return identity
+
+    def divergence(self, reference: "Outcome") -> str:
+        """Why this run is not field-identical to ``reference`` ('' if it is)."""
+        ours, theirs = self.identity, reference.identity
+        if ours.get("fingerprint") != theirs.get("fingerprint"):
+            return "diverged fields: " + ", ".join(
+                diff_fingerprints(theirs["fingerprint"], ours["fingerprint"])
+            )
+        if ours != theirs:
+            return "network digests or decision logs diverge"
+        return ""
+
+
+def _run(cell: Cell) -> Outcome:
+    built = cell.build()
+    if cell.horizon is None:
+        return Outcome(built)
+    return Outcome(built.run(cell.horizon), built.admission_policy)
+
+
+def _judge(cell: Cell, outcome: Outcome, reference: Outcome) -> List[Tuple[str, str]]:
+    """Every named oracle's complaint about ``outcome``."""
+    report = outcome.report
+    if isinstance(report, ServiceReport):
+        broken, gaps = report.queueing_violations(), []
+    else:
+        broken = admitted_promise_violations(report)
+        gaps = report.trace.conservation_gaps(report.offered)
+    complaints = [
+        ("promise-safety", ", ".join(broken)),
+        ("conservation", "; ".join(gaps)),
+        ("identity", outcome.divergence(reference)),
+        ("vacuity", cell.guard(report, outcome.policy) or ""),
+    ]
+    return [(name, detail) for name, detail in complaints if detail]
+
+
+# ----------------------------------------------------------------------
+# Points and results
+# ----------------------------------------------------------------------
+
+@dataclass
+class ChaosPoint:
+    """One perturbed run of one cell, and the oracles it failed."""
+
+    cell: str
+    kind: str  # "replay" | "boundary" | "mid-write" | "checkpoint"
+    index: int  # journal write or checkpoint save the kill landed on
+    crashed: bool = False  # False for replays and outlived kill budgets
+    resumed_from: str = ""
+    replayed: int = 0  # journal records the resume re-verified
+    #: the journal record the kill lost (boundary and mid-write kills)
+    torn: Optional[dict] = None
+    fingerprint: Optional[str] = None  # sha256 of the report fingerprint
+    network: Optional[str] = None
+    decision_log: Optional[str] = None
+    failures: List[Tuple[str, str]] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 @dataclass
 class ChaosResult:
-    """Outcome of a full crash matrix over one scenario."""
+    """Every point of one matrix."""
 
-    points: List[CrashPoint] = field(default_factory=list)
-    journal_records: int = 0
-
-    @property
-    def crashed_points(self) -> List[CrashPoint]:
-        return [p for p in self.points if p.crashed]
+    points: List[ChaosPoint] = field(default_factory=list)
 
     @property
-    def mismatches(self) -> List[CrashPoint]:
-        return [p for p in self.crashed_points if not p.identical]
+    def failures(self) -> List[ChaosPoint]:
+        return [p for p in self.points if not p.ok]
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        return bool(self.points) and not self.failures
 
     def summary(self) -> str:
-        crashed = self.crashed_points
-        return (
-            f"{len(crashed)} crash points "
-            f"({len(self.points)} scheduled), "
-            f"{len(crashed) - len(self.mismatches)} identical resumes, "
-            f"{len(self.mismatches)} mismatches"
-        )
+        crashed = sum(1 for p in self.points if p.crashed)
+        return "\n".join([
+            f"{len(self.points)} points ({crashed} crashed), "
+            f"{len(self.failures)} failures",
+            *(f"  {p.cell} {p.kind}@{p.index}: {p.failures}"
+              for p in self.failures),
+        ])
 
 
-def chaos_crash_matrix(
-    scenario: Scenario,
-    simulator_factory: Callable[[], OpenSystemSimulator],
-    workdir: Union[str, Path],
-    *,
-    checkpoint_every: int = 5,
-    mid_write: bool = True,
-    checkpoint_crashes: int = 2,
-    boundary_stride: int = 1,
-) -> ChaosResult:
-    """Kill one seeded run at every event boundary; assert resume identity.
-
-    ``simulator_factory`` must build a *fresh* simulator (fresh policy
-    state) each call; the scenario's events are scheduled by the harness.
-    ``boundary_stride`` thins the boundary sweep (1 = every journal
-    record) for quick CI passes.  Returns a :class:`ChaosResult`; callers
-    assert ``result.ok``.
-    """
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-
-    # Ground truth: one plain run (no durability I/O at all) ...
-    plain = simulator_factory()
-    plain.schedule(*scenario.events)
-    truth = report_fingerprint(plain.run(scenario.horizon))
-
-    # ... and one journaled run, to prove journaling changes nothing and
-    # to learn how many WAL records a full run writes.
-    basedir = workdir / "baseline"
-    base_sim = simulator_factory()
-    base_sim.schedule(*scenario.events)
-    base_report = base_sim.run(
-        scenario.horizon,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=basedir,
-        journal=basedir / "journal.jsonl",
+def _point(
+    cell: Cell, kind: str, index: int, outcome: Outcome, reference: Outcome
+) -> ChaosPoint:
+    identity = outcome.identity
+    fingerprint = identity.get("fingerprint")
+    return ChaosPoint(
+        cell=cell.name,
+        kind=kind,
+        index=index,
+        resumed_from=outcome.resumed_from,
+        replayed=outcome.replayed,
+        fingerprint=None if fingerprint is None else hashlib.sha256(
+            json.dumps(
+                fingerprint, sort_keys=True, separators=(",", ":")
+            ).encode()
+        ).hexdigest(),
+        network=identity.get("network"),
+        decision_log=identity.get("decision_log"),
+        failures=_judge(cell, outcome, reference),
     )
-    base_fp = report_fingerprint(base_report)
-    if base_fp != truth:
-        raise AssertionError(
-            "journaling altered the run itself: "
-            f"{diff_fingerprints(truth, base_fp)}"
-        )
-    records, _ = Journal.scan(basedir / "journal.jsonl")
-    total = len(records)
 
-    result = ChaosResult(journal_records=total)
-    # Crash on the k-th journal write: the surviving journal holds k-1
-    # acknowledged records — that is, death at every record boundary.
-    for write_index in range(1, total + 1, boundary_stride):
-        result.points.append(
-            _run_crash_point(
-                scenario, simulator_factory, truth,
-                workdir / f"boundary-{write_index:04d}",
-                kind="boundary",
-                crash_at_write=write_index,
-                partial_bytes=None,
-                checkpoint_every=checkpoint_every,
-            )
-        )
-        if mid_write:
+
+# ----------------------------------------------------------------------
+# The runner
+# ----------------------------------------------------------------------
+
+JOURNAL = "journal.jsonl"
+
+
+@dataclass(frozen=True)
+class Kill:
+    """The kill perturbation: deaths at every ``stride``-th journal write
+    (plus a torn mid-write twin of each when ``mid_write``) and at
+    checkpoint saves 2 .. ``saves`` + 1, resumed under ``workdir``."""
+
+    workdir: Union[str, Path]
+    stride: int = 1
+    mid_write: bool = True
+    checkpoint_every: int = 4
+    saves: int = 0
+
+    def __post_init__(self) -> None:
+        if self.stride < 1:
+            raise FaultInjectionError(f"stride must be >= 1, got {self.stride!r}")
+
+
+def chaos_matrix(
+    cells: Sequence[Cell], kill: Optional[Kill] = None
+) -> ChaosResult:
+    """Run every cell under one perturbation and judge every run.
+
+    Without ``kill`` each cell is replayed: run twice, the first run
+    judged against the second.  With it each simulator cell runs
+    uninterrupted (the truth), once journaled and checkpointed (which
+    must change nothing), then once per scheduled death, each resumed
+    through :func:`resume_cell` and judged against the truth.
+    """
+    result = ChaosResult()
+    for cell in cells:
+        if kill is None:
             result.points.append(
-                _run_crash_point(
-                    scenario, simulator_factory, truth,
-                    workdir / f"midwrite-{write_index:04d}",
-                    kind="mid-write",
-                    crash_at_write=write_index,
-                    partial_bytes=17,
-                    checkpoint_every=checkpoint_every,
-                )
+                _point(cell, "replay", 0, _run(cell), _run(cell))
             )
-    # Crashes while *writing a checkpoint*: the torn snapshot must never
-    # surface; resume falls back to the previous one plus a longer replay.
-    for save_index in range(2, 2 + checkpoint_crashes):
-        result.points.append(
-            _run_checkpoint_crash_point(
-                scenario, simulator_factory, truth,
-                workdir / f"ckptcrash-{save_index:02d}",
-                crash_at_save=save_index,
-                checkpoint_every=checkpoint_every,
-            )
-        )
+        else:
+            result.points.extend(_kill_points(cell, kill))
     return result
 
 
-def _run_crash_point(
-    scenario: Scenario,
-    simulator_factory: Callable[[], OpenSystemSimulator],
-    truth: Dict[str, Any],
-    pointdir: Path,
-    *,
-    kind: str,
-    crash_at_write: int,
-    partial_bytes: Optional[int],
-    checkpoint_every: int,
-) -> CrashPoint:
-    pointdir.mkdir(parents=True, exist_ok=True)
-    journal_path = pointdir / "journal.jsonl"
-    journal = Journal(
-        journal_path,
-        opener=crashing_opener(
-            crash_at_write=crash_at_write, partial_bytes=partial_bytes
-        ),
-    )
-    simulator = simulator_factory()
-    simulator.schedule(*scenario.events)
-    point = CrashPoint(kind=kind, index=crash_at_write, crashed=False)
-    try:
-        simulator.run(
-            scenario.horizon,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=pointdir,
-            journal=journal,
+def _kill_points(cell: Cell, kill: Kill) -> List[ChaosPoint]:
+    if cell.horizon is None:
+        raise FaultInjectionError(
+            f"cell {cell.name!r} is a service run: it can only be replayed"
         )
-        return point  # budget outlived the run; nothing to resume
-    except SimulatedCrash:
-        point.crashed = True
-    finally:
-        journal.close()
-    return _resume_and_compare(
-        scenario, simulator_factory, truth, pointdir, journal_path, point
-    )
+    celldir = Path(kill.workdir) / cell.name
+    truth = _run(cell)
+    basedir = celldir / "baseline"
+    journaled = kill_cell(cell, basedir, checkpoint_every=kill.checkpoint_every)
+    altered = journaled.divergence(truth)
+    if altered:
+        raise FaultInjectionError(f"journaling altered the run itself: {altered}")
+    records, _ = Journal.scan(basedir / JOURNAL)
+    deaths: List[Tuple[str, int, dict]] = []
+    for write in range(1, len(records) + 1, kill.stride):
+        deaths.append(("boundary", write, {"write": write}))
+        if kill.mid_write:
+            deaths.append(("mid-write", write, {"write": write, "torn": True}))
+    for save in range(2, 2 + kill.saves):
+        deaths.append(("checkpoint", save, {"save": save}))
+
+    points = []
+    for kind, index, death in deaths:
+        pointdir = celldir / f"{kind}-{index:04d}"
+        outcome = kill_cell(
+            cell, pointdir, checkpoint_every=kill.checkpoint_every, **death
+        )
+        crashed = outcome is None
+        if crashed:
+            outcome = resume_cell(cell, pointdir)
+        point = _point(cell, kind, index, outcome, truth)
+        point.crashed = crashed
+        if "write" in death:
+            point.torn = records[index - 1]
+        points.append(point)
+    return points
 
 
-def _run_checkpoint_crash_point(
-    scenario: Scenario,
-    simulator_factory: Callable[[], OpenSystemSimulator],
-    truth: Dict[str, Any],
-    pointdir: Path,
+def kill_cell(
+    cell: Cell,
+    pointdir: Union[str, Path],
     *,
-    crash_at_save: int,
     checkpoint_every: int,
-) -> CrashPoint:
+    write: Optional[int] = None,
+    torn: bool = False,
+    save: Optional[int] = None,
+) -> Optional[Outcome]:
+    """Run ``cell`` journaled and checkpointed under ``pointdir``, dying
+    on journal write ``write`` (torn mid-write when ``torn``) or during
+    checkpoint save ``save``.  Returns ``None`` when the death landed,
+    the finished run when the run outlived its budget."""
+    pointdir = Path(pointdir)
     pointdir.mkdir(parents=True, exist_ok=True)
-    journal_path = pointdir / "journal.jsonl"
-    store = _CrashingCheckpointStore(pointdir, crash_at_save=crash_at_save)
-    simulator = simulator_factory()
-    simulator.schedule(*scenario.events)
-    point = CrashPoint(kind="checkpoint", index=crash_at_save, crashed=False)
+    opener = open if write is None else crashing_opener(
+        crash_at_write=write, partial_bytes=17 if torn else None
+    )
+    journal = Journal(pointdir / JOURNAL, opener=opener)
+    store = _CrashingCheckpointStore(pointdir, crash_at_save=save or 0)
+    simulator = cell.build()
     try:
-        simulator.run(
-            scenario.horizon,
+        report = simulator.run(
+            cell.horizon,
             checkpoint_every=checkpoint_every,
             checkpoint_dir=store,
-            journal=journal_path,
+            journal=journal,
         )
-        return point
     except SimulatedCrash:
-        point.crashed = True
-    return _resume_and_compare(
-        scenario, simulator_factory, truth, pointdir, journal_path, point
+        return None
+    finally:
+        journal.close()
+    return Outcome(report, simulator.admission_policy)
+
+
+def resume_cell(cell: Cell, pointdir: Union[str, Path]) -> Outcome:
+    """Recover a killed run from the artifacts under ``pointdir`` through
+    :meth:`OpenSystemSimulator.resume_latest` — the newest usable
+    checkpoint plus the journal suffix, re-verified record by record —
+    or, when no checkpoint became durable, by a fresh rerun."""
+    simulator = OpenSystemSimulator.resume_latest(pointdir)
+    if simulator is None:
+        outcome = _run(cell)
+        outcome.resumed_from = "fresh"
+        return outcome
+    report = simulator.resume_run()
+    return Outcome(
+        report,
+        simulator.admission_policy,
+        resumed_from="checkpoint",
+        replayed=simulator._replay_pos,
     )
-
-
-def _resume_and_compare(
-    scenario: Scenario,
-    simulator_factory: Callable[[], OpenSystemSimulator],
-    truth: Dict[str, Any],
-    pointdir: Path,
-    journal_path: Path,
-    point: CrashPoint,
-) -> CrashPoint:
-    store = CheckpointStore(pointdir)
-    latest = store.latest()
-    if latest is None:
-        # Death before any snapshot became durable: nothing to restore,
-        # so recovery degenerates to starting over — still loss-free.
-        point.resumed_from = "fresh"
-        fresh = simulator_factory()
-        fresh.schedule(*scenario.events)
-        resumed_report = fresh.run(scenario.horizon)
-    else:
-        point.resumed_from = latest.name
-        resumed = OpenSystemSimulator.resume(
-            latest, journal_path if journal_path.exists() else None
-        )
-        point.replayed_records = len(resumed._replay_records)
-        resumed_report = resumed.resume_run()
-    fingerprint = report_fingerprint(resumed_report)
-    point.identical = fingerprint == truth
-    if not point.identical:
-        point.detail = "diverged fields: " + ", ".join(
-            diff_fingerprints(truth, fingerprint)
-        )
-    return point

@@ -31,23 +31,18 @@ temporal-reasoning story extends to the network itself:
   ``offered = consumed + expired + lost + shed + lease-expired``
   keeps holding at every slice throughout.
 
-:func:`chaos_partition_matrix` sweeps partition start/duration x loss x
-delay and asserts the two properties that make the model trustworthy:
-**zero admitted-promise violations** (no admitted computation silently
-misses — every one completes, recovers, or is honestly abandoned with
-salvage) and **replay identity** (every cell, run twice, produces
-field-identical report fingerprints — fates are stateless SHA-256 draws,
-so an unreliable network is still a deterministic one).
+:func:`repro.faults.chaos.mesh_cell` puts a plan into the chaos matrix:
+fates are stateless SHA-256 draws, so an unreliable network replays and
+resumes identically.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.backoff import Backoff
 from repro.baselines.base import AdmissionPolicy, PolicyDecision
@@ -56,18 +51,12 @@ from repro.decision.admission import clip_start
 from repro.encapsulation.enclave import Enclave
 from repro.encapsulation.lease import Lease, LeaseTable
 from repro.errors import ChannelError, CheckpointError, FaultInjectionError
-from repro.faults.chaos import (
-    SimulatedCrash,
-    crashing_opener,
-    diff_fingerprints,
-    report_fingerprint,
-)
 from repro.faults.recovery import RecoveryPolicy
 from repro.intervals.interval import Interval, Time
 from repro.markers import checkpointable
 from repro.resources.located_type import Node
 from repro.resources.resource_set import ResourceSet
-from repro.serialization import time_from_wire, time_to_wire
+from repro.serialization import time_to_wire
 from repro.system.channel import (
     LinkConfig,
     MessageChannel,
@@ -91,10 +80,10 @@ from repro.workloads.partition import mesh_names, partitioned_mesh_stream
 class PartitionPlan:
     """Deterministic description of one unreliable-network experiment.
 
-    Same shape discipline as :class:`~repro.faults.plan.FaultPlan` and
-    :class:`~repro.faults.overload.OverloadPlan`: a frozen value object
-    validated on construction, so a plan can be logged, replayed, and
-    swept by :func:`dataclasses.replace` without surprises.
+    Same shape discipline as :class:`~repro.faults.plan.FaultPlan`: a
+    frozen value object validated on construction, so a plan can be
+    logged, replayed, and swept by :func:`dataclasses.replace` without
+    surprises.
     """
 
     seed: int = 0
@@ -922,6 +911,26 @@ def mesh_events(plan: PartitionPlan) -> Tuple[ResourceSet, List[Event]]:
     return resources, events
 
 
+def mesh_simulator(
+    plan: PartitionPlan,
+    *,
+    invariant_interval: int = 1,
+    recovery: Optional[RecoveryPolicy] = None,
+) -> OpenSystemSimulator:
+    """A fresh simulator for the plan's mesh, its events scheduled: the
+    policy under the plan's network, with recovery on and (by default)
+    the extended conservation identity asserted per slice."""
+    resources, events = mesh_events(plan)
+    simulator = OpenSystemSimulator(
+        MeshPolicy(plan),
+        initial_resources=resources,
+        recovery=recovery or RecoveryPolicy(),
+        invariant_interval=invariant_interval,
+    )
+    simulator.schedule(*events)
+    return simulator
+
+
 def run_mesh(
     plan: PartitionPlan,
     *,
@@ -931,29 +940,22 @@ def run_mesh(
     checkpoint_dir: Union[str, Path, CheckpointStore, None] = None,
     journal: Union[str, Path, Journal, None] = None,
 ) -> Tuple[SimulationReport, MeshPolicy]:
-    """One full mesh run under the plan's network, with recovery on and
-    (by default) the extended conservation identity asserted per slice.
+    """One full run of :func:`mesh_simulator`.
 
     Durability is opt-in exactly as for any other policy: ``journal``
     write-ahead-logs events, decisions, *and* wire outcomes;
     ``checkpoint_dir`` snapshots the simulator plus the policy's network
     section, so a killed mesh run resumes via :func:`resume_mesh`."""
-    resources, events = mesh_events(plan)
-    policy = MeshPolicy(plan)
-    simulator = OpenSystemSimulator(
-        policy,
-        initial_resources=resources,
-        recovery=recovery or RecoveryPolicy(),
-        invariant_interval=invariant_interval,
+    simulator = mesh_simulator(
+        plan, invariant_interval=invariant_interval, recovery=recovery
     )
-    simulator.schedule(*events)
     report = simulator.run(
         plan.horizon,
         checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir,
         journal=journal,
     )
-    return report, policy
+    return report, simulator.admission_policy
 
 
 def resume_mesh(
@@ -967,24 +969,16 @@ def resume_mesh(
     run's, and finishes the run.  Returns the full report plus the
     restored policy, whose channel log, lease table, and stats are
     byte-identical to an uninterrupted run's."""
-    directory = Path(checkpoint_dir)
-    store = CheckpointStore(directory)
-    latest = store.latest()
-    if latest is None:
+    simulator = OpenSystemSimulator.resume_latest(checkpoint_dir)
+    if simulator is None:
         raise CheckpointError(
-            f"no usable checkpoint under {directory}: nothing to resume"
+            f"no usable checkpoint under {checkpoint_dir}: nothing to resume"
         )
-    journal_path = directory / "journal.jsonl"
-    simulator = OpenSystemSimulator.resume(
-        latest,
-        journal_path if journal_path.exists() else None,
-        checkpoint_dir=store,
-    )
     report = simulator.resume_run()
     policy = simulator.admission_policy
     if not isinstance(policy, MeshPolicy):
         raise CheckpointError(
-            f"checkpoint under {directory} restored policy "
+            f"checkpoint under {checkpoint_dir} restored policy "
             f"{policy.name!r}, not the mesh"
         )
     return report, policy
@@ -1059,381 +1053,3 @@ def admitted_promise_violations(report: SimulationReport) -> List[str]:
     return [
         r.label for r in report.records if r.outcome in ("missed", "running")
     ]
-
-
-# ----------------------------------------------------------------------
-# The partition matrix
-# ----------------------------------------------------------------------
-@dataclass
-class NetfaultPoint:
-    """One cell of the partition matrix and what it proved."""
-
-    start: Time
-    duration: Time
-    loss: float
-    delay: int
-    arrivals: int = 0
-    admitted: int = 0
-    completed: int = 0
-    recovered: int = 0
-    abandoned: int = 0
-    lease_expirations: int = 0
-    rpc_failures: int = 0
-    #: admitted promises that silently broke (must stay empty)
-    violations: List[str] = field(default_factory=list)
-    #: the two runs' report fingerprints agree field-for-field
-    identical: bool = False
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.identical and not self.violations and not self.detail
-
-
-@dataclass
-class NetfaultResult:
-    """Outcome of a full partition matrix."""
-
-    points: List[NetfaultPoint] = field(default_factory=list)
-
-    @property
-    def failures(self) -> List[NetfaultPoint]:
-        return [p for p in self.points if not p.ok]
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.points) and not self.failures
-
-    def summary(self) -> str:
-        return (
-            f"{len(self.points)} partition points, "
-            f"{len(self.points) - len(self.failures)} clean, "
-            f"{len(self.failures)} failures"
-        )
-
-
-def _mesh_point(plan: PartitionPlan) -> NetfaultPoint:
-    report_a, policy_a = run_mesh(plan)
-    report_b, _ = run_mesh(plan)
-    fp_a = report_fingerprint(report_a)
-    fp_b = report_fingerprint(report_b)
-    point = NetfaultPoint(
-        start=plan.partition_start,
-        duration=plan.partition_duration,
-        loss=plan.link_loss,
-        delay=plan.link_delay,
-        arrivals=report_a.arrivals,
-        admitted=report_a.admitted,
-        completed=report_a.completed,
-        recovered=report_a.recovered,
-        abandoned=report_a.abandoned,
-        lease_expirations=len(policy_a.leases.expired()),
-        rpc_failures=policy_a.rpc_failures,
-        violations=admitted_promise_violations(report_a),
-        identical=fp_a == fp_b,
-    )
-    # The whole-run extended identity; the per-slice version already ran
-    # inside the simulator (invariant_interval=1).
-    gaps = report_a.trace.conservation_gaps(report_a.offered)
-    if gaps:
-        point.detail = "conservation gaps: " + "; ".join(gaps)
-    elif not point.identical:
-        point.detail = "mesh reports diverge: " + ", ".join(
-            diff_fingerprints(fp_a, fp_b)
-        )
-    elif (
-        plan.partition_duration > plan.lease_ttl
-        and plan.severed
-        and not point.lease_expirations
-    ):
-        point.detail = (
-            "partition outlasted the ttl but no lease expired "
-            "(plan too gentle)"
-        )
-    return point
-
-
-def chaos_partition_matrix(
-    plan: PartitionPlan = PartitionPlan(),
-    *,
-    starts: Optional[Sequence[Time]] = None,
-    durations: Optional[Sequence[Time]] = None,
-    losses: Optional[Sequence[float]] = None,
-    delays: Optional[Sequence[int]] = None,
-) -> NetfaultResult:
-    """Sweep partition start/duration x loss x delay; callers assert
-    ``result.ok``.
-
-    Every cell runs the same seeded mesh twice and demands (1) zero
-    admitted-promise violations, (2) field-identical report fingerprints
-    (the PR-3 replay oracle), and (3) the extended conservation identity
-    — per slice inside the runs, whole-run here.  Defaults include the
-    benign cell (no partition, perfect link) as the baseline the
-    benchmark compares degraded goodput against.
-    """
-    if starts is None:
-        starts = (plan.partition_start,)
-    if durations is None:
-        durations = (0, plan.partition_duration)
-    if losses is None:
-        losses = (0.0, plan.link_loss if plan.link_loss else 0.15)
-    if delays is None:
-        delays = (0, plan.link_delay if plan.link_delay else 1)
-    result = NetfaultResult()
-    for duration in durations:
-        for start in starts:
-            for loss in losses:
-                for delay in delays:
-                    cell = dataclasses.replace(
-                        plan,
-                        partition_start=start,
-                        partition_duration=duration,
-                        link_loss=loss,
-                        link_delay=delay,
-                    )
-                    result.points.append(_mesh_point(cell))
-    return result
-
-
-# ----------------------------------------------------------------------
-# The partition x crash matrix
-# ----------------------------------------------------------------------
-@dataclass
-class PartitionCrashPoint:
-    """One kill of a journaled mesh run and what its resume proved."""
-
-    kind: str  # "boundary" | "mid-write"
-    index: int  # 1-based journal write the crash landed on
-    duration: Time  # the cell's partition duration
-    #: where the lost record's instant falls relative to the partition
-    #: window: "benign" | "pre-partition" | "mid-partition" |
-    #: "post-partition"
-    phase: str
-    #: the lost record is a multi-attempt RPC verdict — the resume must
-    #: re-walk the seeded backoff ladder, not re-draw it
-    mid_rpc: bool
-    crashed: bool
-    resumed_from: str = ""
-    #: resumed report fingerprint == uninterrupted run's
-    identical: bool = False
-    #: resumed network digest == uninterrupted run's
-    network_identical: bool = False
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        if not self.crashed:
-            return True  # write budget outlived the run; nothing to prove
-        return self.identical and self.network_identical
-
-
-@dataclass
-class PartitionCrashResult:
-    """Outcome of a full partition x crash matrix."""
-
-    points: List[PartitionCrashPoint] = field(default_factory=list)
-    cells: int = 0
-    journal_records: int = 0
-
-    @property
-    def crashed_points(self) -> List[PartitionCrashPoint]:
-        return [p for p in self.points if p.crashed]
-
-    @property
-    def mismatches(self) -> List[PartitionCrashPoint]:
-        return [p for p in self.points if not p.ok]
-
-    @property
-    def covered_mid_partition(self) -> bool:
-        return any(p.phase == "mid-partition" for p in self.crashed_points)
-
-    @property
-    def covered_mid_rpc(self) -> bool:
-        return any(p.mid_rpc for p in self.crashed_points)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.crashed_points) and not self.mismatches
-
-    def summary(self) -> str:
-        crashed = self.crashed_points
-        return (
-            f"{self.cells} cells, {self.journal_records} journal records, "
-            f"{len(self.points)} kill points ({len(crashed)} crashed, "
-            f"{sum(1 for p in crashed if p.phase == 'mid-partition')} "
-            f"mid-partition, {sum(1 for p in crashed if p.mid_rpc)} "
-            f"mid-rpc-backoff), {len(self.mismatches)} mismatches"
-        )
-
-
-def _crash_phase(cell: PartitionPlan, record: Optional[dict]) -> str:
-    """Classify the journal record a crash tears by partition phase."""
-    if cell.partition_duration <= 0:
-        return "benign"
-    if record is None or "time" not in record:
-        return "pre-partition"  # the header, or nothing yet
-    at = time_from_wire(record["time"])
-    if at < cell.partition_start:
-        return "pre-partition"
-    if at < cell.partition_end:
-        return "mid-partition"
-    return "post-partition"
-
-
-def _is_mid_rpc(record: Optional[dict]) -> bool:
-    return (
-        record is not None
-        and record.get("type") == "wire"
-        and record.get("kind") == "rpc"
-        and record.get("attempts", 1) > 1
-    )
-
-
-def _partition_crash_point(
-    cell: PartitionPlan,
-    truth_fp: Dict[str, object],
-    truth_digest: str,
-    pointdir: Path,
-    *,
-    kind: str,
-    crash_at_write: int,
-    partial_bytes: Optional[int],
-    checkpoint_every: int,
-    phase: str,
-    mid_rpc: bool,
-) -> PartitionCrashPoint:
-    pointdir.mkdir(parents=True, exist_ok=True)
-    journal_path = pointdir / "journal.jsonl"
-    journal = Journal(
-        journal_path,
-        opener=crashing_opener(
-            crash_at_write=crash_at_write, partial_bytes=partial_bytes
-        ),
-    )
-    point = PartitionCrashPoint(
-        kind=kind,
-        index=crash_at_write,
-        duration=cell.partition_duration,
-        phase=phase,
-        mid_rpc=mid_rpc,
-        crashed=False,
-    )
-    try:
-        run_mesh(
-            cell,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=pointdir,
-            journal=journal,
-        )
-        return point  # budget outlived the run; nothing to resume
-    except SimulatedCrash:
-        point.crashed = True
-    finally:
-        journal.close()
-    if CheckpointStore(pointdir).latest() is None:
-        # Death before any snapshot became durable: recovery degenerates
-        # to starting over — still loss-free, still identical.
-        point.resumed_from = "fresh"
-        resumed_report, resumed_policy = run_mesh(cell)
-    else:
-        resumed_report, resumed_policy = resume_mesh(pointdir)
-        point.resumed_from = "checkpoint"
-    fingerprint = report_fingerprint(resumed_report)
-    point.identical = fingerprint == truth_fp
-    point.network_identical = network_digest(resumed_policy) == truth_digest
-    if not point.identical:
-        point.detail = "diverged fields: " + ", ".join(
-            diff_fingerprints(truth_fp, fingerprint)
-        )
-    elif not point.network_identical:
-        point.detail = "network digests diverge"
-    return point
-
-
-def chaos_partition_crash_matrix(
-    workdir: Union[str, Path],
-    plan: PartitionPlan = PartitionPlan(),
-    *,
-    durations: Optional[Sequence[Time]] = None,
-    checkpoint_every: int = 4,
-    boundary_stride: int = 1,
-    mid_write: bool = True,
-) -> PartitionCrashResult:
-    """Kill journaled mesh runs at journal-record boundaries (and torn
-    mid-write) across partition cells; callers assert ``result.ok``.
-
-    Per cell: an uninterrupted plain run and an uninterrupted
-    journaled+checkpointed run must already agree (durability I/O alone
-    changes nothing); then the run is killed at every ``boundary_stride``-th
-    record boundary — the default 1 covers *every* boundary, including
-    mid-partition instants and mid-RPC-backoff records — and each resume
-    must reproduce a field-identical report *and* an identical network
-    digest versus the uninterrupted run.  In-flight messages, lease
-    clocks, and retry ladders all cross the crash boundary through the
-    checkpoint's network section + wire WAL, never through a re-drawn
-    fate."""
-    if boundary_stride < 1:
-        raise FaultInjectionError(
-            f"boundary_stride must be >= 1, got {boundary_stride!r}"
-        )
-    workdir = Path(workdir)
-    if durations is None:
-        durations = (0, plan.partition_duration)
-    result = PartitionCrashResult()
-    for duration in durations:
-        cell = dataclasses.replace(plan, partition_duration=duration)
-        result.cells += 1
-        celldir = workdir / f"cell-d{duration}"
-        truth_report, truth_policy = run_mesh(cell)
-        truth_fp = report_fingerprint(truth_report)
-        truth_digest = network_digest(truth_policy)
-        basedir = celldir / "baseline"
-        basedir.mkdir(parents=True, exist_ok=True)
-        base_report, base_policy = run_mesh(
-            cell,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=basedir,
-            journal=basedir / "journal.jsonl",
-        )
-        base_fp = report_fingerprint(base_report)
-        if base_fp != truth_fp or network_digest(base_policy) != truth_digest:
-            raise FaultInjectionError(
-                "journaling the mesh changed the run itself: "
-                + ", ".join(diff_fingerprints(truth_fp, base_fp))
-            )
-        records, _ = Journal.scan(basedir / "journal.jsonl")
-        result.journal_records += len(records)
-        for write_index in range(1, len(records) + 1, boundary_stride):
-            torn = records[write_index - 1]
-            phase = _crash_phase(cell, torn)
-            mid_rpc = _is_mid_rpc(torn)
-            result.points.append(
-                _partition_crash_point(
-                    cell,
-                    truth_fp,
-                    truth_digest,
-                    celldir / f"boundary-{write_index:04d}",
-                    kind="boundary",
-                    crash_at_write=write_index,
-                    partial_bytes=None,
-                    checkpoint_every=checkpoint_every,
-                    phase=phase,
-                    mid_rpc=mid_rpc,
-                )
-            )
-            if mid_write:
-                result.points.append(
-                    _partition_crash_point(
-                        cell,
-                        truth_fp,
-                        truth_digest,
-                        celldir / f"midwrite-{write_index:04d}",
-                        kind="mid-write",
-                        crash_at_write=write_index,
-                        partial_bytes=17,
-                        checkpoint_every=checkpoint_every,
-                        phase=phase,
-                        mid_rpc=mid_rpc,
-                    )
-                )
-    return result

@@ -52,6 +52,7 @@ from repro.system.checkpoint import (
     VersionedSet,
     check_journal_header,
     journal_header,
+    latest_checkpoint,
 )
 from repro.system.events import (
     ComputationArrivalEvent,
@@ -520,6 +521,23 @@ class OpenSystemSimulator:
                 )
         sim._mid_run = True
         return sim
+
+    @classmethod
+    def resume_latest(
+        cls, directory: Union[str, Path]
+    ) -> Optional["OpenSystemSimulator"]:
+        """:meth:`resume` from the newest usable checkpoint under
+        ``directory`` and the ``journal.jsonl`` beside it, checkpointing
+        on into the same directory; ``None`` when no checkpoint is there."""
+        latest = latest_checkpoint(directory)
+        if latest is None:
+            return None
+        journal = Path(directory) / "journal.jsonl"
+        return cls.resume(
+            latest,
+            journal if journal.exists() else None,
+            checkpoint_dir=directory,
+        )
 
     def resume_run(self) -> SimulationReport:
         """Continue a resumed run to its horizon; returns the full report

@@ -11,7 +11,8 @@ plateaus at the controller's capacity.
 Generation is seeded and otherwise deterministic: burst arrivals are
 evenly spaced on an exact rational grid (no float accumulation), so the
 same ``(seed, multiplier)`` always produces the same stream — the
-replay-identity assertions in :mod:`repro.faults.overload` depend on it.
+replay-identity oracle of :func:`repro.faults.chaos.chaos_matrix`
+depends on it.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ partition experiments have something to sever, delay, lose, and expire.
 Generation follows the same discipline as :mod:`repro.workloads.overload`:
 seeded ``random.Random`` for the request mix, exact scalars everywhere,
 no dependence on iteration order of anything unordered — the replay
-identity assertions in ``chaos_partition_matrix`` depend on it.
+identity oracle of :func:`repro.faults.chaos.chaos_matrix` depends on it.
 """
 
 from __future__ import annotations

@@ -56,9 +56,12 @@ def cloud_scenario(
     rng = random.Random(seed)
     topology = Topology.full_mesh(nodes, cpu_rate=8, bandwidth=6)
     ltypes = [lt for lt, _ in topology.located_types()]
+    arrivals = poisson_arrivals(rng, rate=arrival_rate, horizon=horizon - 8)
     events: List[Event] = [
-        arrival(t, random_requirement(rng, ltypes, start=t, max_quantity=24))
-        for t in poisson_arrivals(rng, rate=arrival_rate, horizon=horizon - 8)
+        arrival(t, random_requirement(
+            rng, ltypes, start=t, max_quantity=24, label=f"job{index}"
+        ))
+        for index, t in enumerate(arrivals, 1)
     ]
     return Scenario(
         "cloud", topology.resources(Interval(0, horizon)), events, horizon
@@ -88,9 +91,12 @@ def volunteer_scenario(
         )
     )
     ltypes = [lt for lt, _ in topology.located_types()]
+    arrivals = poisson_arrivals(rng, rate=arrival_rate, horizon=horizon - 8)
     events.extend(
-        arrival(t, random_requirement(rng, ltypes, start=t, max_quantity=16))
-        for t in poisson_arrivals(rng, rate=arrival_rate, horizon=horizon - 8)
+        arrival(t, random_requirement(
+            rng, ltypes, start=t, max_quantity=16, label=f"job{index}"
+        ))
+        for index, t in enumerate(arrivals, 1)
     )
     return Scenario("volunteer", base, events, horizon)
 

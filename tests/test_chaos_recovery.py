@@ -21,12 +21,15 @@ import pytest
 from repro.baselines import RotaAdmission
 from repro.faults import (
     FaultPlan,
+    Kill,
     RecoveryPolicy,
-    chaos_crash_matrix,
+    chaos_matrix,
+    fault_cell,
     faulty_scenario,
 )
 from repro.system import OpenSystemSimulator, ReservationPolicy
 from repro.workloads import volunteer_scenario
+from tests.chaos_corpus import assert_matches_corpus
 
 
 def violating_scenario():
@@ -73,23 +76,18 @@ def test_crash_matrix_every_point_resumes_identically(tmp_path):
             straggler_rate=0.02,
         ),
     )
-    result = chaos_crash_matrix(
-        scenario,
-        simulator_factory(scenario),
-        tmp_path,
-        checkpoint_every=3,
-        boundary_stride=1,
-        mid_write=True,
-        checkpoint_crashes=2,
+    result = chaos_matrix(
+        [fault_cell("crash-compact", scenario, simulator_factory(scenario))],
+        Kill(tmp_path, stride=1, mid_write=True, checkpoint_every=3, saves=2),
     )
-    assert result.journal_records > 0
-    assert result.crashed_points, "budget never hit: matrix proved nothing"
-    for point in result.crashed_points:
-        assert point.identical, (
-            f"{point.kind}@{point.index} resumed from "
-            f"{point.resumed_from}: {point.detail}"
-        )
+    assert any(p.crashed for p in result.points), (
+        "budget never hit: matrix proved nothing"
+    )
+    assert {p.kind for p in result.points} == {
+        "boundary", "mid-write", "checkpoint"
+    }
     assert result.ok, result.summary()
+    assert_matches_corpus(result)
 
 
 def test_crash_matrix_backoff_and_abandonment_grid(tmp_path):
@@ -98,14 +96,10 @@ def test_crash_matrix_backoff_and_abandonment_grid(tmp_path):
     crash points land mid-backoff.  Catches anything overfit to the
     primary scenario's event order."""
     scenario = violating_scenario()
-    result = chaos_crash_matrix(
-        scenario,
-        simulator_factory(scenario),
-        tmp_path,
-        checkpoint_every=5,
-        boundary_stride=5,
-        mid_write=True,
-        checkpoint_crashes=3,
+    result = chaos_matrix(
+        [fault_cell("crash-backoff", scenario, simulator_factory(scenario))],
+        Kill(tmp_path, stride=5, mid_write=True, checkpoint_every=5, saves=3),
     )
-    assert result.crashed_points
+    assert any(p.crashed for p in result.points)
     assert result.ok, result.summary()
+    assert_matches_corpus(result)

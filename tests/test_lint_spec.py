@@ -394,6 +394,46 @@ class TestScenarios:
 
 
 # ----------------------------------------------------------------------
+# Malformed shapes are findings, never tracebacks
+# ----------------------------------------------------------------------
+
+def mutated_example(name, mutate):
+    document = json.loads((EXAMPLES / name).read_text())
+    mutate(document)
+    return check_spec_document(document, name)
+
+
+@pytest.mark.parametrize("name, mutate, where", [
+    (
+        "temporal_ordering.json",
+        lambda d: d.update(intervals={"setup": 0}),
+        "$.intervals.setup",
+    ),
+    (
+        "scenario_pipeline.json",
+        lambda d: d["temporal_constraints"][0].update(a={"kind": "term"}),
+        "$.temporal_constraints[0].a",
+    ),
+    (
+        "scenario_pipeline.json",
+        lambda d: d["events"].__setitem__(0, "abc"),
+        "$.events[0]",
+    ),
+    (
+        "scenario_pipeline.json",
+        lambda d: d["events"].__setitem__(0, [["a"]]),
+        "$.events[0]",
+    ),
+])
+def test_malformed_shape_is_a_syntax_finding(name, mutate, where):
+    findings = mutated_example(name, mutate)
+    located = [f for f in findings if f.message.startswith(f"{where}:")]
+    assert [f.rule for f in located] == ["spec-syntax"], (
+        [f.render() for f in findings]
+    )
+
+
+# ----------------------------------------------------------------------
 # Shipped examples stay clean
 # ----------------------------------------------------------------------
 

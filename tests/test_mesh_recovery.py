@@ -18,21 +18,27 @@ full stride-1 sweep runs in CI and E23.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import CheckpointError, FaultInjectionError
 from repro.faults import (
+    Kill,
     MeshPolicy,
     PartitionPlan,
     SimulatedCrash,
-    chaos_partition_crash_matrix,
+    chaos_matrix,
     crashing_opener,
+    mesh_cell,
     network_digest,
     report_fingerprint,
     resume_mesh,
     run_mesh,
 )
+from repro.serialization import time_from_wire
 from repro.system.checkpoint import Journal
+from tests.chaos_corpus import assert_matches_corpus
 
 #: A compact mesh: lossy, delayed, partitioned — every fate kind shows
 #: up, but the journal stays small enough for exhaustive-ish killing.
@@ -44,6 +50,29 @@ PLAN = PartitionPlan(
     link_delay=1,
     link_loss=0.15,
 )
+
+
+def is_mid_rpc(record):
+    """The record is a multi-attempt RPC verdict: a resume must re-walk
+    the seeded backoff ladder, not re-draw it."""
+    return (
+        record is not None
+        and record.get("type") == "wire"
+        and record.get("kind") == "rpc"
+        and record.get("attempts", 1) > 1
+    )
+
+
+def is_mid_partition(record, plan):
+    """The record's instant falls inside the plan's partition window."""
+    return (
+        plan.partition_duration > 0
+        and record is not None
+        and "time" in record
+        and plan.partition_start
+        <= time_from_wire(record["time"])
+        < plan.partition_end
+    )
 
 
 def durable_run(plan, directory, *, crash_at_write=None, checkpoint_every=4):
@@ -132,9 +161,7 @@ class TestCrashResume:
         ladder_writes = [
             (index, record)
             for index, record in enumerate(records, start=1)
-            if record.get("type") == "wire"
-            and record.get("kind") == "rpc"
-            and record.get("attempts", 1) > 1
+            if is_mid_rpc(record)
         ]
         assert ladder_writes, "plan produced no multi-attempt RPC"
         crash_at, torn = ladder_writes[0]
@@ -155,20 +182,25 @@ class TestCrashResume:
 
 class TestPartitionCrashMatrix:
     def test_strided_matrix_all_identical(self, tmp_path):
-        """A strided sweep (CI runs stride 1): every kill point resumes
-        identical, and the hard phases are actually covered."""
-        result = chaos_partition_crash_matrix(
-            tmp_path,
-            PLAN,
-            boundary_stride=9,
-            mid_write=True,
+        """A strided sweep of the benign and the partitioned cell, plus
+        kills during checkpoint saves 2-7: every kill resumes identical,
+        and the hard phases are actually covered."""
+        benign = dataclasses.replace(PLAN, partition_duration=0)
+        result = chaos_matrix(
+            [mesh_cell(benign), mesh_cell(PLAN)],
+            Kill(tmp_path, stride=9, mid_write=True, saves=6),
         )
-        assert result.cells == 2  # benign + partitioned
-        assert result.journal_records > 0
-        assert result.crashed_points, "stride skipped every live boundary"
-        assert result.mismatches == [], result.summary()
-        assert result.covered_mid_partition, result.summary()
-        assert result.ok
+        crashed = [p for p in result.points if p.crashed]
+        assert crashed, "stride skipped every live boundary"
+        assert result.ok, result.summary()
+        assert any(
+            p.cell == mesh_cell(PLAN).name and is_mid_partition(p.torn, PLAN)
+            for p in crashed
+        )
+        saves = [p for p in crashed if p.kind == "checkpoint"]
+        assert len(saves) == 12
+        assert all(p.resumed_from == "checkpoint" for p in saves)
+        assert_matches_corpus(result)
 
     def test_mid_rpc_coverage_pinned(self, tmp_path):
         """Aim the stride at a probed multi-attempt RPC record, so the
@@ -177,22 +209,21 @@ class TestPartitionCrashMatrix:
         durable_run(PLAN, tmp_path / "probe")
         records, _ = Journal.scan(tmp_path / "probe" / "journal.jsonl")
         index = next(
-            i
-            for i, record in enumerate(records, start=1)
-            if record.get("type") == "wire"
-            and record.get("kind") == "rpc"
-            and record.get("attempts", 1) > 1
+            i for i, record in enumerate(records, start=1)
+            if is_mid_rpc(record)
         )
-        result = chaos_partition_crash_matrix(
-            tmp_path / "matrix",
-            PLAN,
-            durations=(PLAN.partition_duration,),
-            boundary_stride=max(1, index - 1),
-            mid_write=False,
+        result = chaos_matrix(
+            [mesh_cell(PLAN)],
+            Kill(
+                tmp_path / "matrix",
+                stride=max(1, index - 1),
+                mid_write=False,
+            ),
         )
-        assert result.mismatches == [], result.summary()
-        assert result.covered_mid_rpc, result.summary()
+        assert result.ok, result.summary()
+        assert any(p.crashed and is_mid_rpc(p.torn) for p in result.points)
+        assert_matches_corpus(result, complete=False)
 
     def test_bad_stride_rejected(self, tmp_path):
-        with pytest.raises(FaultInjectionError, match="boundary_stride"):
-            chaos_partition_crash_matrix(tmp_path, PLAN, boundary_stride=0)
+        with pytest.raises(FaultInjectionError, match="stride"):
+            Kill(tmp_path, stride=0)

@@ -11,6 +11,7 @@ abandon-with-salvage while the partition severs every escape route.
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,8 @@ from repro.faults import (
     MeshPolicy,
     PartitionPlan,
     admitted_promise_violations,
-    chaos_partition_matrix,
+    chaos_matrix,
+    mesh_cell,
     run_mesh,
 )
 from repro.faults.chaos import report_fingerprint
@@ -34,6 +36,7 @@ from repro.system.events import (
     resource_join,
 )
 from repro.system.simulator import OpenSystemSimulator
+from tests.chaos_corpus import assert_matches_corpus
 
 
 # ----------------------------------------------------------------------
@@ -205,26 +208,28 @@ class TestSaturatedLeaseVictim:
 
 class TestPartitionMatrix:
     def test_quick_matrix_is_clean(self):
-        result = chaos_partition_matrix(
-            PartitionPlan(),
-            starts=(18,),
-            durations=(0, 10),
-            losses=(0.0,),
-            delays=(0,),
+        """The benign and the partitioned cell each replay identically
+        with zero violations and clean conservation; the partitioned
+        cell's vacuity guard demands a lease expiry."""
+        plan = PartitionPlan()
+        result = chaos_matrix(
+            [mesh_cell(dataclasses.replace(plan, partition_duration=0)),
+             mesh_cell(plan)]
         )
         assert result.ok, result.summary()
-        assert len(result.points) == 2
-        assert "2 partition points" in result.summary()
-        benign, partitioned = result.points
-        assert benign.duration == 0
-        assert partitioned.lease_expirations >= 1
+        assert "2 points (0 crashed), 0 failures" in result.summary()
+        assert_matches_corpus(result)
 
     def test_points_demand_identity_and_zero_violations(self):
-        result = chaos_partition_matrix(
-            PartitionPlan(), starts=(18,), durations=(10,),
-            losses=(0.0,), delays=(0,),
-        )
+        result = chaos_matrix([mesh_cell(PartitionPlan())])
         (point,) = result.points
-        assert point.identical
-        assert point.violations == []
-        assert point.detail == ""
+        assert point.failures == []
+        assert point.network is not None
+        assert_matches_corpus(result)
+
+    def test_partition_guard_demands_a_lease_expiry(self):
+        guard = mesh_cell(PartitionPlan()).guard
+        report, policy = run_mesh(PartitionPlan())
+        assert guard(report, policy) is None
+        no_expiry = SimpleNamespace(leases=SimpleNamespace(expired=list))
+        assert "no lease expired" in guard(report, no_expiry)

@@ -2,33 +2,34 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import FaultInjectionError
-from repro.faults import OverloadPlan, chaos_overload_matrix
+from repro.faults import Kill, chaos_matrix, overload_cells
 from repro.workloads import flash_crowd_requests, stalled_enclave_stream
+from tests.chaos_corpus import assert_matches_corpus
 
 
 class TestOverloadPlan:
+    """An overload plan is a seed and a flash-crowd multiplier ladder."""
+
     @pytest.mark.parametrize("kwargs", [
         {"multipliers": ()},
         {"multipliers": (0,)},
         {"multipliers": (1, -2)},
         {"multipliers": (1.5,)},
-        {"nodes": 0},
-        {"burst_at": -1},
-        {"burst_duration": 0},
-        {"horizon": 20, "burst_at": 20},
-        {"deadline_slack": 0},
     ])
     def test_invalid_plans_rejected(self, kwargs):
         with pytest.raises(FaultInjectionError):
-            OverloadPlan(**kwargs)
+            overload_cells(**kwargs)
 
     def test_default_plan_is_the_full_ladder(self):
-        plan = OverloadPlan()
-        assert plan.multipliers == (1, 2, 4, 10)
-        assert plan.stalled_enclave
+        names = [cell.name for cell in overload_cells()]
+        assert names == [
+            f"flash-crowd(seed=0, x={m})" for m in (1, 2, 4, 10)
+        ] + ["stalled-enclave(seed=0)", "front-door(seed=0)"]
 
 
 class TestWorkloadDeterminism:
@@ -70,27 +71,39 @@ class TestWorkloadDeterminism:
 
 class TestChaosOverloadMatrix:
     def test_quick_matrix_is_clean(self):
-        result = chaos_overload_matrix(OverloadPlan(multipliers=(1, 10)))
-        assert result.ok, result.summary() + "".join(
-            f"\n  {p.kind}@{p.multiplier}x: {p.detail or p.queueing_violations}"
-            for p in result.failures
-        )
-        kinds = [p.kind for p in result.points]
-        assert kinds == [
-            "flash-crowd", "flash-crowd", "stalled-enclave", "simulator"
+        result = chaos_matrix(overload_cells(0, (1, 10)))
+        assert result.ok, result.summary()
+        assert [p.cell for p in result.points] == [
+            "flash-crowd(seed=0, x=1)",
+            "flash-crowd(seed=0, x=10)",
+            "stalled-enclave(seed=0)",
+            "front-door(seed=0)",
         ]
-        # The 10x cell genuinely sheds, and the degraded path genuinely
-        # cross-checked its screen rejections.
-        ten_x = next(
-            p for p in result.points
-            if p.kind == "flash-crowd" and p.multiplier == 10
+        assert all(p.kind == "replay" for p in result.points)
+        assert_matches_corpus(result)
+
+    def test_ten_x_guard_demands_shedding_and_admission(self):
+        """The 10x cell is clean only if it genuinely shed *and* admitted:
+        its vacuity guard names either gap."""
+        _, ten_x, stalled, front_door = overload_cells(0, (1, 10))
+        assert ten_x.guard(SimpleNamespace(goodput=5, shed=[1]), None) is None
+        assert "shed nothing" in ten_x.guard(
+            SimpleNamespace(goodput=5, shed=[]), None
         )
-        assert ten_x.shed > 0
-        assert ten_x.admitted > 0
+        assert "admitted nothing" in ten_x.guard(
+            SimpleNamespace(goodput=0, shed=[1]), None
+        )
+        assert "breaker" in stalled.guard(
+            SimpleNamespace(breaker_transitions={}), None
+        )
 
     def test_matrix_without_stalled_leg(self):
-        result = chaos_overload_matrix(
-            OverloadPlan(multipliers=(2,), stalled_enclave=False)
-        )
-        assert [p.kind for p in result.points] == ["flash-crowd"]
-        assert result.ok
+        result = chaos_matrix(overload_cells(0, (2,))[:1])
+        assert [p.cell for p in result.points] == ["flash-crowd(seed=0, x=2)"]
+        assert result.ok, result.summary()
+        assert_matches_corpus(result)
+
+    def test_service_cells_cannot_be_killed(self, tmp_path):
+        (flash,) = overload_cells(0, (2,))[:1]
+        with pytest.raises(FaultInjectionError, match="only be replayed"):
+            chaos_matrix([flash], Kill(tmp_path))
